@@ -9,6 +9,7 @@ from .cgt import (
     BestResponseCase,
     EquilibriumResult,
     best_response_cgt,
+    bne_candidates,
     enumerate_bne,
     expected_utility_cgt,
     verify_bne,
@@ -85,6 +86,7 @@ __all__ = [
     "SweepSpec",
     "asymmetric_equilibrium",
     "best_response_cgt",
+    "bne_candidates",
     "default_scenario",
     "enumerate_bne",
     "expected_pt_utility",

@@ -14,14 +14,14 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import NotTwoPlayer
-from .model import Scenario, StrategyProfile
+from .model import Scenario, StrategyProfile, require_two_player
 
 __all__ = [
     "BestResponseCase",
     "EquilibriumResult",
     "expected_utility_cgt",
     "best_response_cgt",
+    "bne_candidates",
     "enumerate_bne",
     "verify_bne",
 ]
@@ -58,11 +58,6 @@ class EquilibriumResult:
     converged: bool
     iterations: int
     residual: float = 0.0
-
-
-def _require_two_player(s: Scenario) -> None:
-    if s.n != 2 or s.grid.n_players != 2:
-        raise NotTwoPlayer(f"need exactly 2 players, scenario has {s.n}")
 
 
 def _duel(player: int, s: Scenario) -> tuple[float, float, float, float, float]:
@@ -116,7 +111,7 @@ def expected_utility_grid_cgt(
 
 def expected_utility_cgt(player: int, profile: StrategyProfile, s: Scenario) -> float:
     """Expected utility of a rational player against a uniform opponent type."""
-    _require_two_player(s)
+    require_two_player(s)
     q1, q2max, rho, k, lc = _duel(player, s)
     a = profile
     return float(
@@ -145,7 +140,7 @@ def best_response_cgt(
       * PriceDominatedStoreAll: the emergency premium is large enough that
         storing everything beats the interior candidate.
     """
-    _require_two_player(s)
+    require_two_player(s)
     q1, q2max, rho, k, lc = _duel(player, s)
     t = (lc - q1) / q2max
     gap = 2.0 * rho / k - 1.0
@@ -160,7 +155,7 @@ def best_response_cgt(
 
 def verify_bne(profile: StrategyProfile, s: Scenario, tol: float = 1e-9) -> bool:
     """Check mutual best responses within ``tol``."""
-    _require_two_player(s)
+    require_two_player(s)
     for p in (0, 1):
         br, _ = best_response_cgt(p, profile[1 - p], s)
         if abs(profile[p] - br) > tol:
@@ -172,23 +167,6 @@ def _interior_coefficients(player: int, s: Scenario) -> tuple[float, float]:
     """Interior best response written as own = intercept + slope * opponent."""
     q1, q2max, rho, k, lc = _duel(player, s)
     return lc / q1, (k - 2.0 * rho) * q2max / (q1 * k)
-
-
-def _candidate_profiles(s: Scenario) -> list[tuple[str, tuple[float, float]]]:
-    """The four closed-form equilibrium candidates, possibly out of range."""
-    d1, c1 = _interior_coefficients(0, s)
-    d2, c2 = _interior_coefficients(1, s)
-    out = [
-        ("BNE1", (1.0, 1.0)),
-        ("BNE2", (1.0, _snap_unit(d2 + c2))),
-        ("BNE3", (_snap_unit(d1 + c1), 1.0)),
-    ]
-    denom = 1.0 - c1 * c2
-    if denom != 0.0:
-        a1 = (d1 + c1 * d2) / denom
-        a2 = (d2 + c2 * d1) / denom
-        out.append(("BNE4", (_snap_unit(a1), _snap_unit(a2))))
-    return out
 
 
 def _conditions(classification: str, profile: tuple[float, float], s: Scenario) -> tuple[str, ...]:
@@ -229,6 +207,32 @@ def _conditions(classification: str, profile: tuple[float, float], s: Scenario) 
     return tuple(labels)
 
 
+def bne_candidates(s: Scenario) -> list[tuple[str, StrategyProfile, tuple[str, ...]]]:
+    """The four closed-form equilibrium candidates, possibly out of range.
+
+    Each entry is ``(label, profile, conditions)``: the candidate's label
+    (BNE1..BNE4), its unverified profile, and the labels of the
+    sufficient existence conditions it satisfies.
+    """
+    require_two_player(s)
+    d1, c1 = _interior_coefficients(0, s)
+    d2, c2 = _interior_coefficients(1, s)
+    candidates = [
+        ("BNE1", (1.0, 1.0)),
+        ("BNE2", (1.0, _snap_unit(d2 + c2))),
+        ("BNE3", (_snap_unit(d1 + c1), 1.0)),
+    ]
+    denom = 1.0 - c1 * c2
+    if denom != 0.0:
+        a1 = (d1 + c1 * d2) / denom
+        a2 = (d2 + c2 * d1) / denom
+        candidates.append(("BNE4", (_snap_unit(a1), _snap_unit(a2))))
+    return [
+        (label, StrategyProfile.of(*cand), _conditions(label, cand, s))
+        for label, cand in candidates
+    ]
+
+
 def enumerate_bne(s: Scenario, tol: float = 1e-9) -> list[EquilibriumResult]:
     """Every closed-form candidate that verifies as a mutual best response.
 
@@ -236,18 +240,16 @@ def enumerate_bne(s: Scenario, tol: float = 1e-9) -> list[EquilibriumResult]:
     verified directly against the best response rather than trusting the
     condition algebra.  Condition labels are reported for the survivors.
     """
-    _require_two_player(s)
     results: list[EquilibriumResult] = []
-    seen: list[tuple[float, float]] = []
-    for classification, cand in _candidate_profiles(s):
-        if not all(0.0 <= a <= 1.0 for a in cand):
+    seen: list[StrategyProfile] = []
+    for classification, profile, conditions in bne_candidates(s):
+        if not all(0.0 <= a <= 1.0 for a in profile):
             continue
-        profile = StrategyProfile.of(*cand)
         if not verify_bne(profile, s, tol=tol):
             continue
-        if any(abs(cand[0] - p0) <= _SNAP and abs(cand[1] - p1) <= _SNAP for p0, p1 in seen):
+        if any(abs(profile[0] - p0) <= _SNAP and abs(profile[1] - p1) <= _SNAP for p0, p1 in seen):
             continue
-        seen.append(cand)
+        seen.append(profile)
         gaps = []
         for p in (0, 1):
             br, _ = best_response_cgt(p, profile[1 - p], s)
@@ -256,7 +258,7 @@ def enumerate_bne(s: Scenario, tol: float = 1e-9) -> list[EquilibriumResult]:
             EquilibriumResult(
                 profile=profile,
                 classification=classification,
-                conditions=_conditions(classification, cand, s),
+                conditions=conditions,
                 expected_utilities=(
                     expected_utility_cgt(0, profile, s),
                     expected_utility_cgt(1, profile, s),

@@ -20,7 +20,7 @@ import math
 import sys
 from typing import Sequence
 
-from .cgt import _candidate_profiles, _conditions, enumerate_bne, verify_bne
+from .cgt import bne_candidates, enumerate_bne, verify_bne
 from .errors import (
     CycleDetected,
     DegenerateOpponentStrategy,
@@ -161,14 +161,13 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         f"{'candidate':<9}  {'alpha_1':>9}  {'alpha_2':>9}  "
         f"{'in_range':<8}  {'equilibrium':<11}  conditions"
     )
-    for classification, cand in _candidate_profiles(s):
+    for classification, cand, conditions in bne_candidates(s):
         in_range = all(0.0 <= a <= 1.0 for a in cand)
         if in_range:
-            ok = verify_bne(StrategyProfile.of(*cand), s)
-            verdict = "yes" if ok else "no"
+            verdict = "yes" if verify_bne(cand, s) else "no"
         else:
             verdict = "-"
-        conds = ",".join(_conditions(classification, cand, s)) or "-"
+        conds = ",".join(conditions) or "-"
         print(
             f"{classification:<9}  {cand[0]:>9.6f}  {cand[1]:>9.6f}  "
             f"{'yes' if in_range else 'no':<8}  {verdict:<11}  {conds}"

@@ -10,23 +10,21 @@ Four experiment families:
   equilibrium covers the critical load, as loss aversion grows.
 * ``asymmetric_equilibrium``: one framed and one rational player.
 
-Each row solves an independent scenario, so rows are evaluated in
-parallel (capped by the GRIDSTORE_THREADS environment variable) and
-written in sweep order.  The solver is deterministic, so repeated runs
-produce byte-identical CSV files.
+Every family solves its grid points one after another, in grid order,
+and turns each solved point into a ``SweepRow`` (or a subclass carrying
+the family's extra fields) through one row builder.  The solver is
+deterministic, so repeated runs produce byte-identical CSV files.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
-from .cgt import enumerate_bne, expected_utility_cgt
+from .cgt import EquilibriumResult, enumerate_bne, expected_utility_cgt
 from .errors import CycleDetected, GridStoreError, MissingProspectParams, NoCoveragePrice
 from .model import (
     GridParams,
@@ -151,70 +149,45 @@ class SweepRow:
     iterations: int
 
 
-@dataclass(frozen=True)
-class EmergencyPriceRow:
+@dataclass(frozen=True, kw_only=True)
+class EmergencyPriceRow(SweepRow):
     """Stored total at one (emergency price, reference point) pair.
 
-    ``pct_deviation_from_r_min`` is the signed percent change of the
-    stored total relative to the same price's total at the smallest
-    reference point in the grid.
+    ``value`` is the reference point.  ``pct_deviation_from_r_min`` is
+    the signed percent change of the stored total relative to the same
+    price's total at the smallest reference point in the grid.
     """
 
     rho_c: float
-    reference: float
-    alpha_1: float
-    alpha_2: float
-    total_stored_kwh: float
-    expected_utility_1: float
-    expected_utility_2: float
     pct_deviation_from_r_min: float
-    classification: str
-    converged: bool
-    iterations: int
 
-    def to_sweep_row(self) -> SweepRow:
-        return SweepRow(
-            sweep_param=f"emergency_price:rho_c={self.rho_c:g}",
-            value=self.reference,
-            alpha_1=self.alpha_1,
-            alpha_2=self.alpha_2,
-            total_stored_kwh=self.total_stored_kwh,
-            expected_utility_1=self.expected_utility_1,
-            expected_utility_2=self.expected_utility_2,
-            classification=self.classification,
-            converged=self.converged,
-            iterations=self.iterations,
-        )
+    @property
+    def reference(self) -> float:
+        return self.value
 
 
-@dataclass(frozen=True)
-class RequiredPriceRow:
-    """Minimal covering emergency price for one loss-aversion level."""
+@dataclass(frozen=True, kw_only=True)
+class RequiredPriceRow(SweepRow):
+    """Minimal covering emergency price for one loss-aversion level.
+
+    ``value`` is the loss-aversion level.
+    """
 
     reference: float
-    lam: float
     rho_c_star: float
-    alpha_1: float
-    alpha_2: float
-    total_stored_kwh: float
-    expected_utility_1: float
-    expected_utility_2: float
-    classification: str
-    converged: bool
-    iterations: int
+
+    @property
+    def lam(self) -> float:
+        return self.value
 
 
 # --- solving helpers -------------------------------------------------
 
 
-def _solve_point(
-    scenario: Scenario, settings: SolverSettings
-) -> tuple[StrategyProfile, tuple[float, float], str, bool, int]:
-    """Solve one scenario, downgrading a best-response cycle to a flagged row."""
+def _solve_point(scenario: Scenario, settings: SolverSettings) -> EquilibriumResult:
+    """Solve one scenario, downgrading a best-response cycle to a flagged result."""
     try:
-        res = iterate_best_response(scenario, settings=settings)
-        u1, u2 = res.expected_utilities
-        return res.profile, (u1, u2), res.classification, res.converged, res.iterations
+        return iterate_best_response(scenario, settings=settings)
     except CycleDetected as exc:
         profile = StrategyProfile.of(*exc.second)
         utilities = tuple(
@@ -223,34 +196,42 @@ def _solve_point(
             else expected_utility_cgt(p, profile, scenario)
             for p in (0, 1)
         )
-        return profile, (utilities[0], utilities[1]), "Cycle", False, exc.iterations
+        return EquilibriumResult(
+            profile=profile,
+            classification="Cycle",
+            conditions=(),
+            expected_utilities=utilities,
+            converged=False,
+            iterations=exc.iterations,
+        )
 
 
 def _total_stored(profile: StrategyProfile, scenario: Scenario) -> float:
     return sum(profile[p] * scenario.surpluses[p] for p in range(scenario.n))
 
 
-def _max_workers() -> int:
-    raw = os.environ.get("GRIDSTORE_THREADS")
-    if raw is None or not raw.strip():
-        return os.cpu_count() or 1
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise GridStoreError(
-            f"GRIDSTORE_THREADS must be an integer, got {raw!r}"
-        ) from exc
-    return max(1, n)
-
-
-def _parallel_map(fn: Callable, items: Sequence) -> list:
-    """Map preserving input order; threads only when they can help."""
-    items = list(items)
-    workers = min(_max_workers(), len(items))
-    if workers <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+def _row(
+    sweep_param: str,
+    value: float | None,
+    scenario: Scenario,
+    res: EquilibriumResult,
+    row_type: type[SweepRow] = SweepRow,
+    **extra,
+) -> SweepRow:
+    """Flatten one solved point into the canonical columns plus ``extra``."""
+    return row_type(
+        sweep_param=sweep_param,
+        value=value,
+        alpha_1=res.profile[0],
+        alpha_2=res.profile[1],
+        total_stored_kwh=_total_stored(res.profile, scenario),
+        expected_utility_1=res.expected_utilities[0],
+        expected_utility_2=res.expected_utilities[1],
+        classification=res.classification,
+        converged=res.converged,
+        iterations=res.iterations,
+        **extra,
+    )
 
 
 def _with_reference(base: Scenario, r: float) -> Scenario:
@@ -284,39 +265,10 @@ def sweep_reference_point(spec: SweepSpec) -> list[SweepRow]:
     closed = enumerate_bne(base)
     if not closed:
         raise GridStoreError("base scenario has no closed-form equilibrium")
-    ref = closed[0]
-    rows = [
-        SweepRow(
-            sweep_param="cgt_baseline",
-            value=None,
-            alpha_1=ref.profile[0],
-            alpha_2=ref.profile[1],
-            total_stored_kwh=_total_stored(ref.profile, base),
-            expected_utility_1=ref.expected_utilities[0],
-            expected_utility_2=ref.expected_utilities[1],
-            classification=ref.classification,
-            converged=True,
-            iterations=0,
-        )
-    ]
-
-    def solve(r: float) -> SweepRow:
+    rows = [_row("cgt_baseline", None, base, closed[0])]
+    for r in spec.values:
         scenario = _with_reference(base, r)
-        profile, (u1, u2), label, converged, iters = _solve_point(scenario, spec.solver)
-        return SweepRow(
-            sweep_param="reference_point",
-            value=r,
-            alpha_1=profile[0],
-            alpha_2=profile[1],
-            total_stored_kwh=_total_stored(profile, scenario),
-            expected_utility_1=u1,
-            expected_utility_2=u2,
-            classification=label,
-            converged=converged,
-            iterations=iters,
-        )
-
-    rows.extend(_parallel_map(solve, spec.values))
+        rows.append(_row("reference_point", r, scenario, _solve_point(scenario, spec.solver)))
     if spec.output_path is not None:
         write_sweep_csv(rows, spec.output_path)
     return rows
@@ -340,54 +292,31 @@ def sweep_emergency_price(spec: SweepSpec) -> list[EmergencyPriceRow]:
         with_price = replace(spec.base, grid=replace(spec.base.grid, rho_c=rho_c))
         scenarios[rho_c] = validate_scenario(with_price)
 
-    tasks = [(rho_c, r) for rho_c in spec.values for r in references]
-
-    def solve(task: tuple[float, float]):
-        rho_c, r = task
-        scenario = _with_reference(scenarios[rho_c], r)
-        profile, (u1, u2), label, converged, iters = _solve_point(scenario, spec.solver)
-        return (
-            rho_c,
-            r,
-            profile,
-            _total_stored(profile, scenario),
-            u1,
-            u2,
-            label,
-            converged,
-            iters,
-        )
-
-    solved = _parallel_map(solve, tasks)
-
-    # Deviation is measured against the same price's total at the
-    # first (smallest) reference point.
-    base_total = {
-        rho_c: total
-        for rho_c, r, _, total, *_ in solved
-        if r == references[0]
-    }
     rows = []
-    for rho_c, r, profile, total, u1, u2, label, converged, iters in solved:
-        anchor = base_total[rho_c]
-        pct = 100.0 * (total - anchor) / anchor if anchor else math.nan
-        rows.append(
-            EmergencyPriceRow(
-                rho_c=rho_c,
-                reference=r,
-                alpha_1=profile[0],
-                alpha_2=profile[1],
-                total_stored_kwh=total,
-                expected_utility_1=u1,
-                expected_utility_2=u2,
-                pct_deviation_from_r_min=pct,
-                classification=label,
-                converged=converged,
-                iterations=iters,
+    for rho_c in spec.values:
+        # Deviation is measured against this price's total at the first
+        # (smallest) reference point.
+        anchor = None
+        for r in references:
+            scenario = _with_reference(scenarios[rho_c], r)
+            res = _solve_point(scenario, spec.solver)
+            total = _total_stored(res.profile, scenario)
+            if anchor is None:
+                anchor = total
+            pct = 100.0 * (total - anchor) / anchor if anchor else math.nan
+            rows.append(
+                _row(
+                    f"emergency_price:rho_c={rho_c:g}",
+                    r,
+                    scenario,
+                    res,
+                    EmergencyPriceRow,
+                    rho_c=rho_c,
+                    pct_deviation_from_r_min=pct,
+                )
             )
-        )
     if spec.output_path is not None:
-        write_sweep_csv([row.to_sweep_row() for row in rows], spec.output_path)
+        write_sweep_csv(rows, spec.output_path)
     return rows
 
 
@@ -457,8 +386,7 @@ def required_emergency_price(
     def search(lam: float) -> RequiredPriceRow:
         def stored(rho_c: float) -> float:
             scenario = with_price(lam, rho_c)
-            profile, *_ = _solve_point(scenario, settings)
-            return _total_stored(profile, scenario)
+            return _total_stored(_solve_point(scenario, settings).profile, scenario)
 
         if stored(price_hi) < target:
             raise NoCoveragePrice(lam, price_hi)
@@ -508,22 +436,17 @@ def required_emergency_price(
                     break
                 p = round(p + resolution, 2)
         scenario = with_price(lam, star)
-        profile, (u1, u2), label, converged, iters = _solve_point(scenario, settings)
-        return RequiredPriceRow(
+        return _row(
+            f"required_emergency_price:R={reference:g}",
+            lam,
+            scenario,
+            _solve_point(scenario, settings),
+            RequiredPriceRow,
             reference=float(reference),
-            lam=lam,
             rho_c_star=star,
-            alpha_1=profile[0],
-            alpha_2=profile[1],
-            total_stored_kwh=_total_stored(profile, scenario),
-            expected_utility_1=u1,
-            expected_utility_2=u2,
-            classification=label,
-            converged=converged,
-            iterations=iters,
         )
 
-    return _parallel_map(search, lams)
+    return [search(lam) for lam in lams]
 
 
 def asymmetric_equilibrium(
@@ -539,25 +462,13 @@ def asymmetric_equilibrium(
     values = tuple(float(v) for v in r_values)
     _require_increasing("r_values", values)
 
-    def solve(r: float) -> SweepRow:
-        scenario = replace(
-            base, prospect=(replace(base.prospect[0], r=r), None)
+    rows = []
+    for r in values:
+        scenario = replace(base, prospect=(replace(base.prospect[0], r=r), None))
+        rows.append(
+            _row("reference_point_asymmetric", r, scenario, _solve_point(scenario, settings))
         )
-        profile, (u1, u2), label, converged, iters = _solve_point(scenario, settings)
-        return SweepRow(
-            sweep_param="reference_point_asymmetric",
-            value=r,
-            alpha_1=profile[0],
-            alpha_2=profile[1],
-            total_stored_kwh=_total_stored(profile, scenario),
-            expected_utility_1=u1,
-            expected_utility_2=u2,
-            classification=label,
-            converged=converged,
-            iterations=iters,
-        )
-
-    return _parallel_map(solve, values)
+    return rows
 
 
 def run_sweep(spec: SweepSpec):
@@ -599,53 +510,21 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def write_sweep_csv(rows: Iterable[SweepRow], path: str | Path) -> Path:
-    """Canonical sweep table; column order is part of the contract."""
+def _write_csv(rows: Iterable[SweepRow], path: str | Path, header: tuple[str, ...]) -> Path:
     path = Path(path)
-    with path.open("w", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for row in rows:
-            writer.writerow(
-                [
-                    row.sweep_param,
-                    _fmt(row.value),
-                    _fmt(row.alpha_1),
-                    _fmt(row.alpha_2),
-                    _fmt(row.total_stored_kwh),
-                    _fmt(row.expected_utility_1),
-                    _fmt(row.expected_utility_2),
-                    row.classification,
-                    _fmt(row.converged),
-                    _fmt(row.iterations),
-                ]
-            )
-    return path
-
-
-def write_required_price_csv(
-    rows: Iterable[RequiredPriceRow], path: str | Path
-) -> Path:
-    """Covering-price table: canonical columns plus rho_c_star after value."""
-    path = Path(path)
-    header = CSV_COLUMNS[:2] + ("rho_c_star",) + CSV_COLUMNS[2:]
     with path.open("w", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
-            writer.writerow(
-                [
-                    f"required_emergency_price:R={row.reference:g}",
-                    _fmt(row.lam),
-                    _fmt(row.rho_c_star),
-                    _fmt(row.alpha_1),
-                    _fmt(row.alpha_2),
-                    _fmt(row.total_stored_kwh),
-                    _fmt(row.expected_utility_1),
-                    _fmt(row.expected_utility_2),
-                    row.classification,
-                    _fmt(row.converged),
-                    _fmt(row.iterations),
-                ]
-            )
+            writer.writerow([_fmt(getattr(row, column)) for column in header])
     return path
+
+
+def write_sweep_csv(rows: Iterable[SweepRow], path: str | Path) -> Path:
+    """Canonical sweep table; column order is part of the contract."""
+    return _write_csv(rows, path, CSV_COLUMNS)
+
+
+def write_required_price_csv(rows: Iterable[RequiredPriceRow], path: str | Path) -> Path:
+    """Covering-price table: canonical columns plus rho_c_star after value."""
+    return _write_csv(rows, path, CSV_COLUMNS[:2] + ("rho_c_star",) + CSV_COLUMNS[2:])

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidScenario
+from .errors import InvalidScenario, NotTwoPlayer
 
 __all__ = [
     "GridParams",
@@ -29,6 +29,7 @@ __all__ = [
     "Scenario",
     "Check",
     "scenario_checks",
+    "require_two_player",
     "violations",
     "validate_scenario",
     "scenario_from_dict",
@@ -52,14 +53,12 @@ class GridParams:
         rho_c: emergency buyback price in $/kWh.
         theta: probability that an emergency occurs.
         l_c: critical load in kWh that the utility covers during an emergency.
-        n_players: number of competing operators.
     """
 
     rho: float
     rho_c: float
     theta: float
     l_c: float
-    n_players: int = 2
 
     @property
     def emergency_value(self) -> float:
@@ -162,13 +161,17 @@ class Check:
     detail: str
 
 
+def _positive(x: float) -> bool:
+    return x > 0 and math.isfinite(x)
+
+
 def scenario_checks(s: Scenario) -> list[Check]:
     """Evaluate every construction invariant, passing or not."""
     g = s.grid
     out = [
-        Check("BadPrice", g.rho > 0, f"rho = {g.rho:g} must be > 0"),
-        Check("BadPrice", g.rho_c > 0, f"rho_c = {g.rho_c:g} must be > 0"),
-        Check("BadCriticalLoad", g.l_c > 0, f"l_c = {g.l_c:g} must be > 0"),
+        Check("BadPrice", _positive(g.rho), f"rho = {g.rho:g} must be finite and > 0"),
+        Check("BadPrice", _positive(g.rho_c), f"rho_c = {g.rho_c:g} must be finite and > 0"),
+        Check("BadCriticalLoad", _positive(g.l_c), f"l_c = {g.l_c:g} must be finite and > 0"),
         Check(
             "BadProbability",
             0.0 <= g.theta <= 1.0,
@@ -181,14 +184,8 @@ def scenario_checks(s: Scenario) -> list[Check]:
         ),
         Check(
             "BadPlayerCount",
-            g.n_players >= 2,
-            f"n_players = {g.n_players} must be >= 2",
-        ),
-        Check(
-            "BadPlayerCount",
-            len(s.microgrids) == g.n_players,
-            f"{len(s.microgrids)} microgrids configured for "
-            f"n_players = {g.n_players}",
+            len(s.microgrids) >= 2,
+            f"{len(s.microgrids)} microgrids configured, need >= 2",
         ),
         Check(
             "BadPlayerCount",
@@ -221,8 +218,8 @@ def scenario_checks(s: Scenario) -> list[Check]:
         out.append(
             Check(
                 "BadProspectParams",
-                p.lam >= 1.0,
-                f"prospect[{i}].lambda = {p.lam:g} must be >= 1",
+                p.lam >= 1.0 and math.isfinite(p.lam),
+                f"prospect[{i}].lambda = {p.lam:g} must be finite and >= 1",
             )
         )
         out.append(
@@ -247,6 +244,12 @@ def scenario_checks(s: Scenario) -> list[Check]:
             )
         )
     return out
+
+
+def require_two_player(s: Scenario) -> None:
+    """Raise ``NotTwoPlayer`` unless the scenario has exactly two microgrids."""
+    if s.n != 2:
+        raise NotTwoPlayer(f"need exactly 2 players, scenario has {s.n}")
 
 
 def violations(s: Scenario) -> list[Check]:
@@ -286,8 +289,6 @@ def scenario_from_dict(data: dict) -> Scenario:
         {"grid": {"rho": .., "rho_c": .., "theta": .., "l_c": ..},
          "microgrids": [{"q": .., "q_max": ..}, ...],
          "prospect": [{...} | null, ...]}        # optional key
-
-    ``n_players`` is the length of the microgrid list.
     """
     g = data["grid"]
     microgrids = tuple(
@@ -299,7 +300,6 @@ def scenario_from_dict(data: dict) -> Scenario:
         rho_c=float(g["rho_c"]),
         theta=float(g["theta"]),
         l_c=float(g["l_c"]),
-        n_players=len(microgrids),
     )
     prospect = tuple(_prospect_from_dict(p) for p in data.get("prospect", []))
     return Scenario(grid=grid, microgrids=microgrids, prospect=prospect)
@@ -340,7 +340,7 @@ def purchased_energy(
     total = stored.sum()
     if total <= grid.l_c:
         return stored
-    return np.maximum(stored - (total - grid.l_c) / grid.n_players, 0.0)
+    return np.maximum(stored - (total - grid.l_c) / len(alpha), 0.0)
 
 
 def realized_utility(

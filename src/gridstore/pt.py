@@ -16,8 +16,8 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import DegenerateOpponentStrategy, MissingProspectParams, NotTwoPlayer
-from .model import ProspectParams, Scenario, StrategyProfile
+from .errors import DegenerateOpponentStrategy, MissingProspectParams
+from .model import ProspectParams, Scenario, StrategyProfile, require_two_player
 
 __all__ = [
     "ProspectParams",
@@ -79,12 +79,30 @@ class PtBranchTerms:
 
 
 def _require_framed(player: int, s: Scenario) -> ProspectParams:
-    if s.n != 2 or s.grid.n_players != 2:
-        raise NotTwoPlayer(f"need exactly 2 players, scenario has {s.n}")
+    require_two_player(s)
     p = s.prospect[player]
     if p is None:
         raise MissingProspectParams(f"player {player} has no prospect parameters")
     return p
+
+
+def _contested(a1, a2, q1, q2max, rho, k, lc, pp: ProspectParams):
+    """Geometry of the contested region, for a float or an array of own fractions.
+
+    Returns ``(split, u_hi, q2r, m_g, m_l)``: the opponent surplus where
+    trimming starts, the trimmed utility at the largest opponent surplus,
+    the (unclamped) surplus where the trimmed utility crosses the
+    reference, and the gain/loss antiderivative coefficients carrying
+    the uniform belief density.  The trimmed utility is linear and
+    decreasing in the opponent surplus, which gives all five in closed
+    form.
+    """
+    split = (lc - a1 * q1) / a2
+    u_hi = rho * q1 * (1.0 - a1) + 0.5 * k * (a1 * q1 + lc - a2 * q2max)
+    q2r = (2.0 / (k * a2)) * (rho * q1 * (1.0 - a1) + 0.5 * k * (a1 * q1 + lc) - pp.r)
+    m_g = -2.0 / ((pp.beta_plus + 1.0) * k * a2 * q2max)
+    m_l = -2.0 * pp.lam / ((pp.beta_minus + 1.0) * k * a2 * q2max)
+    return split, u_hi, q2r, m_g, m_l
 
 
 def pt_branch_terms(player: int, profile: StrategyProfile, s: Scenario) -> PtBranchTerms:
@@ -102,21 +120,13 @@ def pt_branch_terms(player: int, profile: StrategyProfile, s: Scenario) -> PtBra
     rho, k, lc = g.rho, g.emergency_value, g.l_c
 
     u_i1 = rho * q1 * (1.0 - a1) + k * q1 * a1
-    a = (lc - a1 * q1) / a2
-    # Trimmed utility is linear and decreasing in the opponent surplus;
-    # evaluate it at the split point and the support end, and solve for
-    # the reference crossing.
-    u_a2 = u_i1
-    u_max2 = rho * q1 * (1.0 - a1) + 0.5 * k * (a1 * q1 + lc - a2 * q2max)
-    q2r = (2.0 / (k * a2)) * (rho * q1 * (1.0 - a1) + 0.5 * k * (a1 * q1 + lc) - pp.r)
+    a, u_max2, q2r, m_g, m_l = _contested(a1, a2, q1, q2max, rho, k, lc, pp)
     if q1 > 0.0:
         b = (pp.r - rho * q1) / (q1 * (k - rho))
     else:
         # Zero surplus pins the untrimmed utility at 0, so the crossing
         # degenerates to whichever side the reference sits on.
         b = np.inf if pp.r >= 0.0 else -np.inf
-    m_g = -2.0 / ((pp.beta_plus + 1.0) * k * a2 * q2max)
-    m_l = -2.0 * pp.lam / ((pp.beta_minus + 1.0) * k * a2 * q2max)
     if q2r > q2max:
         branch: Branch = "AllGain"
     elif q2r < a:
@@ -131,7 +141,7 @@ def pt_branch_terms(player: int, profile: StrategyProfile, s: Scenario) -> PtBra
         m_l=m_l,
         u_i1=u_i1,
         u_max2=u_max2,
-        u_a2=u_a2,
+        u_a2=u_i1,
         u_r2=pp.r if branch == "Mixed" else float("nan"),
         branch=branch,
     )
@@ -156,17 +166,10 @@ def expected_pt_utility_grid(
         if np.any(contested):
             ac = a1[contested]
             u1 = u_lin[contested]
-            split = (lc - ac * q1) / opp_alpha
+            split, u_hi, q2r, m_g, m_l = _contested(ac, opp_alpha, q1, q2max, rho, k, lc, pp)
             i1 = (split / q2max) * _pt_value_vec(u1, pp)
-
-            u_hi = rho * q1 * (1.0 - ac) + 0.5 * k * (ac * q1 + lc - opp_alpha * q2max)
-            q2r = (2.0 / (k * opp_alpha)) * (
-                rho * q1 * (1.0 - ac) + 0.5 * k * (ac * q1 + lc) - pp.r
-            )
             bp1 = pp.beta_plus + 1.0
             bm1 = pp.beta_minus + 1.0
-            m_g = -2.0 / (bp1 * k * opp_alpha * q2max)
-            m_l = -2.0 * pp.lam / (bm1 * k * opp_alpha * q2max)
             # Clamp bracket bases at zero: each branch keeps them
             # nonnegative exactly, the clamp only absorbs float dust.
             gain_hi = np.maximum(u_hi - pp.r, 0.0)
@@ -201,14 +204,10 @@ def expected_pt_utility_scalar(
     u1 = rho * q1 * (1.0 - a1) + k * q1 * a1
     if a2 <= 0.0 or a1 * q1 + a2 * q2max <= lc:
         return pt_value(u1, pp)
-    split = (lc - a1 * q1) / a2
+    split, u_hi, q2r, m_g, m_l = _contested(a1, a2, q1, q2max, rho, k, lc, pp)
     i1 = (split / q2max) * pt_value(u1, pp)
-    u_hi = rho * q1 * (1.0 - a1) + 0.5 * k * (a1 * q1 + lc - a2 * q2max)
-    q2r = (2.0 / (k * a2)) * (rho * q1 * (1.0 - a1) + 0.5 * k * (a1 * q1 + lc) - pp.r)
     bp1 = pp.beta_plus + 1.0
     bm1 = pp.beta_minus + 1.0
-    m_g = -2.0 / (bp1 * k * a2 * q2max)
-    m_l = -2.0 * pp.lam / (bm1 * k * a2 * q2max)
     gain_hi = max(u_hi - pp.r, 0.0)
     gain_lo = max(u1 - pp.r, 0.0)
     loss_hi = max(pp.r - u_hi, 0.0)

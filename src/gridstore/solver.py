@@ -17,8 +17,8 @@ import numpy as np
 from scipy.integrate import quad
 
 from . import cgt, pt
-from .errors import CycleDetected, NotTwoPlayer
-from .model import Scenario, StrategyProfile, realized_utility
+from .errors import CycleDetected
+from .model import Scenario, StrategyProfile, realized_utility, require_two_player
 
 __all__ = [
     "SolverSettings",
@@ -57,11 +57,6 @@ class SolverSettings:
             )
 
 
-def _require_two_player(s: Scenario) -> None:
-    if s.n != 2 or s.grid.n_players != 2:
-        raise NotTwoPlayer(f"need exactly 2 players, scenario has {s.n}")
-
-
 # ---------------------------------------------------------------------------
 # quadrature oracle
 # ---------------------------------------------------------------------------
@@ -82,7 +77,7 @@ def quadrature_expected_utility(
     trimming onset and, when framed, at the reference crossing, so each
     piece is smooth except for an integrable endpoint kink.
     """
-    _require_two_player(s)
+    require_two_player(s)
     settings = settings or SolverSettings()
     opp = 1 - player
     belief = s.belief_about(opp)
@@ -196,7 +191,7 @@ def grid_best_response(
     point is kept only if it does not score below the grid winner, so a
     non-unimodal bracket can never make the answer worse.
     """
-    _require_two_player(s)
+    require_two_player(s)
     settings = settings or SolverSettings()
     vec, scalar = _objective(player, s, framed)
     grid = _unit_grid(settings.grid_step)
@@ -261,7 +256,7 @@ def iterate_best_response(
     prospect parameters.  Convergence means the largest strategy update
     in a round is at most ``settings.tol``.
     """
-    _require_two_player(s)
+    require_two_player(s)
     settings = settings or SolverSettings()
     if framed is None:
         framed = tuple(p is not None for p in s.prospect)

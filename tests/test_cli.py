@@ -3,11 +3,40 @@
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
+import pytest
+
+from gridstore import (
+    NotTwoPlayer,
+    StrategyProfile,
+    enumerate_bne,
+    expected_pt_utility,
+    iterate_best_response,
+    scenario_from_dict,
+    violations,
+)
 from gridstore.cli import run
 
 CONFIG = str(Path(__file__).resolve().parent.parent / "configs" / "defaults.json")
+
+
+def numeric_leaves(node, prefix: str = ""):
+    """Dotted override paths of every number in a parsed config."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        if isinstance(node, (int, float)):
+            yield prefix
+        return
+    for key, child in items:
+        yield from numeric_leaves(child, f"{prefix}.{key}" if prefix else str(key))
+
+
+CONFIG_LEAVES = tuple(numeric_leaves(json.loads(Path(CONFIG).read_text())))
 
 
 def config_copy(tmp_path, **grid_overrides) -> str:
@@ -227,3 +256,32 @@ def test_find_price_unreachable_ceiling_is_exit_four(tmp_path, capsys):
     )
     assert code == 4
     assert "error" in capsys.readouterr().err
+
+
+def test_three_microgrids_validate_but_need_two_players(tmp_path, capsys):
+    data = json.loads(Path(CONFIG).read_text())
+    data["microgrids"].append(dict(data["microgrids"][0]))
+    data["prospect"].append(dict(data["prospect"][0]))
+    s = scenario_from_dict(data)
+    assert violations(s) == []
+    with pytest.raises(NotTwoPlayer):
+        enumerate_bne(s)
+    with pytest.raises(NotTwoPlayer):
+        iterate_best_response(s)
+    with pytest.raises(NotTwoPlayer):
+        expected_pt_utility(0, StrategyProfile.of(1.0, 1.0, 1.0), s)
+
+    path = tmp_path / "three.json"
+    path.write_text(json.dumps(data))
+    assert run(["solve-pt", "--config", str(path)]) == 3
+    assert "need exactly 2 players" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["Infinity", "-Infinity", "NaN"])
+@pytest.mark.parametrize("path", CONFIG_LEAVES)
+def test_non_finite_config_value_is_rejected(path, value, capsys):
+    code = run(["solve-pt", "--config", CONFIG, "--override", f"{path}={value}"])
+    out = capsys.readouterr().out
+    if code == 0:
+        assert not re.search(r"\b(inf|nan)\b", out, re.IGNORECASE), out
+    assert code in (2, 3), f"exit {code}:\n{out}"

@@ -2,18 +2,24 @@
 
 from __future__ import annotations
 
+import hashlib
+import importlib.util
+import json
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from gridstore import (
-    GridStoreError,
     InvalidScenario,
     SolverSettings,
+    StrategyProfile,
     SweepSpec,
     asymmetric_equilibrium,
     default_scenario,
     enumerate_bne,
+    expected_pt_utility,
     iterate_best_response,
     max_deviation_by_price,
     required_emergency_price,
@@ -23,9 +29,12 @@ from gridstore import (
     write_required_price_csv,
     write_sweep_csv,
 )
-from gridstore.errors import NoCoveragePrice
+from gridstore import experiments
+from gridstore.errors import CycleDetected, NoCoveragePrice
 
 from helpers import covering_kind
+
+ROOT = Path(__file__).resolve().parent.parent
 
 CSV_HEADER = (
     "sweep_param,value,alpha_1,alpha_2,total_stored_kwh,"
@@ -112,6 +121,23 @@ def test_reference_sweep_matches_direct_solve():
     direct = iterate_best_response(default_scenario(reference=12.0))
     assert (row.alpha_1, row.alpha_2) == tuple(direct.profile)
     assert row.iterations == direct.iterations
+
+
+def test_cycle_becomes_a_flagged_row(monkeypatch):
+    def cycling(scenario, settings=None):
+        raise CycleDetected((0.5, 1.0), (1.0, 0.5), iterations=7)
+
+    monkeypatch.setattr(experiments, "iterate_best_response", cycling)
+    spec = SweepSpec(
+        base=default_scenario(), swept_parameter="reference_point", values=(11.5,)
+    )
+    row = sweep_reference_point(spec)[1]
+    assert (row.alpha_1, row.alpha_2) == (1.0, 0.5)
+    assert row.total_stored_kwh == pytest.approx(180.0)
+    assert (row.classification, row.converged, row.iterations) == ("Cycle", False, 7)
+    assert row.expected_utility_1 == expected_pt_utility(
+        0, StrategyProfile.of(1.0, 0.5), default_scenario()
+    )
 
 
 def test_emergency_price_sweep_rows_and_deviation():
@@ -242,25 +268,22 @@ def test_covering_price_csv_carries_star_column(tmp_path):
     assert lines[1].startswith("required_emergency_price:R=11.5,1,11.28,")
 
 
-def test_thread_count_does_not_change_results(monkeypatch):
-    spec = SweepSpec(
-        base=default_scenario(),
-        swept_parameter="reference_point",
-        values=(11.0, 12.0),
-    )
-    monkeypatch.setenv("GRIDSTORE_THREADS", "1")
-    serial = sweep_reference_point(spec)
-    monkeypatch.setenv("GRIDSTORE_THREADS", "2")
-    threaded = sweep_reference_point(spec)
-    assert serial == threaded
 
-
-def test_bad_thread_count_rejected(monkeypatch):
-    monkeypatch.setenv("GRIDSTORE_THREADS", "many")
-    spec = SweepSpec(
-        base=default_scenario(),
-        swept_parameter="reference_point",
-        values=(11.5,),
+def test_published_battery_reproduces_reference_hashes(tmp_path, monkeypatch, capsys):
+    """``run_experiments.py --experiment all`` writes the CSVs the benchmark pins by SHA-256."""
+    expected = json.loads((ROOT / "perfbench" / "reference.json").read_text())
+    spec = importlib.util.spec_from_file_location(
+        "run_experiments", ROOT / "scripts" / "run_experiments.py"
     )
-    with pytest.raises(GridStoreError, match="GRIDSTORE_THREADS"):
-        sweep_reference_point(spec)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(
+        sys, "argv", ["run_experiments.py", "--experiment", "all", "--out-dir", str(tmp_path)]
+    )
+    script.main()
+    capsys.readouterr()
+    written = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in tmp_path.glob("*.csv")
+    }
+    assert written == expected["seed0_csv_sha256"]

@@ -94,14 +94,13 @@ grids = st.builds(
     rho_c=st.floats(5.0, 50.0),
     theta=st.floats(0.05, 1.0),
     l_c=st.floats(50.0, 500.0),
-    n_players=st.integers(2, 5),
 )
 
 
 @st.composite
 def allocation_cases(draw):
     grid = draw(grids)
-    n = grid.n_players
+    n = draw(st.integers(2, 5))
     q = [draw(st.floats(1.0, 200.0)) for _ in range(n)]
     alpha = [draw(st.floats(0.0, 1.0)) for _ in range(n)]
     return grid, tuple(q), tuple(alpha)
@@ -112,7 +111,7 @@ def allocation_cases(draw):
 def test_allocation_bounded_by_stored_energy(case):
     grid, q, alpha = case
     bought = purchased_energy(alpha, q, grid)
-    for n in range(grid.n_players):
+    for n in range(len(q)):
         assert -1e-12 <= bought[n] <= alpha[n] * q[n] + 1e-12
 
 
@@ -124,7 +123,7 @@ def test_allocation_exhausts_load_when_unclamped(case):
     total = sum(stored)
     if total <= grid.l_c:
         return
-    cut = (total - grid.l_c) / grid.n_players
+    cut = (total - grid.l_c) / len(q)
     if any(s < cut for s in stored):
         return  # a clamp binds; the equal-cut identity no longer applies
     bought = purchased_energy(alpha, q, grid)
@@ -173,7 +172,7 @@ def test_scenario_round_trip_from_json(tmp_path):
         ],
     }
     s = scenario_from_dict(data)
-    assert s.grid.n_players == 2
+    assert s.n == 2
     assert s.prospect[0].lam == 2.25
     assert s.prospect[1] is None
 
@@ -207,7 +206,7 @@ def test_over_allocation_quirk_is_literal():
     The allocation rule is applied exactly as specified, so this case is
     locked in as documented behavior rather than "fixed" silently.
     """
-    grid = GridParams(rho=0.1, rho_c=11.6, theta=0.01, l_c=100.0, n_players=2)
+    grid = GridParams(rho=0.1, rho_c=11.6, theta=0.01, l_c=100.0)
     bought = purchased_energy((1.0, 1.0), (150.0, 1.0), grid)
     # cut = 25.5 each; player 2 clamps to 0, player 1 sells 124.5
     assert tuple(bought) == pytest.approx((124.5, 0.0))
