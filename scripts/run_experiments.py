@@ -32,13 +32,13 @@ def reference_sweep(out_dir: Path) -> None:
         base=default_scenario(),
         swept_parameter="reference_point",
         values=tuple(np.arange(5.0, 16.0 + 1e-9, 0.25)),
-        output_path=out_dir / "reference_sweep.csv",
     )
     rows = sweep_reference_point(spec)
+    path = write_sweep_csv(rows, out_dir / "reference_sweep.csv")
     baseline, swept = rows[0], rows[1:]
     lo = min(swept, key=lambda r: r.total_stored_kwh)
     hi = max(swept, key=lambda r: r.total_stored_kwh)
-    print(f"reference sweep -> {spec.output_path}")
+    print(f"reference sweep -> {path}")
     print(f"  rational baseline total: {baseline.total_stored_kwh:.2f} kWh")
     print(f"  minimum {lo.total_stored_kwh:.2f} kWh at R={lo.value:g}")
     print(f"  maximum {hi.total_stored_kwh:.2f} kWh at R={hi.value:g}")
@@ -51,10 +51,10 @@ def price_sensitivity(out_dir: Path) -> None:
         swept_parameter="emergency_price",
         values=(10.2, 11.0, 12.0),
         reference_values=tuple(np.arange(5.0, 16.0 + 1e-9, 0.25)),
-        output_path=out_dir / "price_sensitivity.csv",
     )
     rows = sweep_emergency_price(spec)
-    print(f"price sensitivity -> {spec.output_path}")
+    path = write_sweep_csv(rows, out_dir / "price_sensitivity.csv")
+    print(f"price sensitivity -> {path}")
     for rho_c, dev in sorted(max_deviation_by_price(rows).items()):
         print(f"  rho_c={rho_c:g}: max reference-point deviation {dev:.2f}%")
 

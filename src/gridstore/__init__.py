@@ -54,7 +54,6 @@ from .model import (
 )
 from .pt import PtBranchTerms, expected_pt_utility, pt_branch_terms, pt_value
 from .solver import (
-    SolverSettings,
     grid_best_response,
     iterate_best_response,
     quadrature_expected_utility,
@@ -80,7 +79,6 @@ __all__ = [
     "PtBranchTerms",
     "RequiredPriceRow",
     "Scenario",
-    "SolverSettings",
     "StrategyProfile",
     "SweepRow",
     "SweepSpec",

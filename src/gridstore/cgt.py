@@ -233,7 +233,7 @@ def bne_candidates(s: Scenario) -> list[tuple[str, StrategyProfile, tuple[str, .
     ]
 
 
-def enumerate_bne(s: Scenario, tol: float = 1e-9) -> list[EquilibriumResult]:
+def enumerate_bne(s: Scenario) -> list[EquilibriumResult]:
     """Every closed-form candidate that verifies as a mutual best response.
 
     Candidates whose fractions leave [0, 1] are discarded; the rest are
@@ -245,7 +245,7 @@ def enumerate_bne(s: Scenario, tol: float = 1e-9) -> list[EquilibriumResult]:
     for classification, profile, conditions in bne_candidates(s):
         if not all(0.0 <= a <= 1.0 for a in profile):
             continue
-        if not verify_bne(profile, s, tol=tol):
+        if not verify_bne(profile, s):
             continue
         if any(abs(profile[0] - p0) <= _SNAP and abs(profile[1] - p1) <= _SNAP for p0, p1 in seen):
             continue

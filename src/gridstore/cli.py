@@ -34,9 +34,10 @@ from .experiments import (
     required_emergency_price,
     run_sweep,
     write_required_price_csv,
+    write_sweep_csv,
 )
 from .model import Scenario, StrategyProfile, scenario_from_dict, scenario_checks, validate_scenario
-from .solver import SolverSettings, iterate_best_response
+from .solver import MAX_ROUNDS, iterate_best_response
 
 __all__ = ["run", "main"]
 
@@ -94,18 +95,9 @@ def _scenario_from_args(args: argparse.Namespace) -> Scenario:
         raise _CliError(f"config does not match the scenario schema: {exc!r}") from exc
 
 
-def _settings_from_args(args: argparse.Namespace) -> SolverSettings:
-    try:
-        return SolverSettings(
-            grid_step=args.grid_step,
-            tol=args.tol,
-            max_iters=args.max_iters,
-        )
-    except ValueError as exc:
-        raise _CliError(str(exc)) from exc
-
-
 def _inclusive_grid(lo: float, hi: float, step: float) -> tuple[float, ...]:
+    if not all(math.isfinite(x) for x in (lo, hi, step)):
+        raise _CliError("--from, --to and --step must be finite")
     if step <= 0:
         raise _CliError("--step must be > 0")
     if hi < lo:
@@ -177,15 +169,16 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 def _cmd_solve_pt(args: argparse.Namespace) -> int:
     s = validate_scenario(_scenario_from_args(args))
-    settings = _settings_from_args(args)
     initial = None
     if args.start is not None:
         try:
             a1, a2 = (float(x) for x in args.start.split(","))
         except ValueError as exc:
             raise _CliError("--start must be two comma-separated numbers") from exc
+        if not all(0.0 <= a <= 1.0 for a in (a1, a2)):
+            raise _CliError("--start fractions must lie in [0, 1]")
         initial = StrategyProfile.of(a1, a2)
-    res = iterate_best_response(s, initial=initial, settings=settings)
+    res = iterate_best_response(s, initial=initial)
     print(f"{'alpha_1':<18} {res.profile[0]:.6f}")
     print(f"{'alpha_2':<18} {res.profile[1]:.6f}")
     print(f"{'classification':<18} {res.classification}")
@@ -196,7 +189,7 @@ def _cmd_solve_pt(args: argparse.Namespace) -> int:
     print(f"{'expected_utility_2':<18} {res.expected_utilities[1]:.9g}")
     if not res.converged:
         print(
-            f"error: no fixed point within {settings.max_iters} rounds",
+            f"error: no fixed point within {MAX_ROUNDS} rounds",
             file=sys.stderr,
         )
         return 4
@@ -205,7 +198,6 @@ def _cmd_solve_pt(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     s = validate_scenario(_scenario_from_args(args))
-    settings = _settings_from_args(args)
     kind = _SWEEP_PARAMS[args.param]
     grid = _inclusive_grid(args.from_, args.to, args.step)
     values = grid
@@ -225,29 +217,24 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             base=s,
             swept_parameter=kind,
             values=values,
-            solver=settings,
-            output_path=args.out,
             reference_values=reference_values,
         )
     except ValueError as exc:
         raise _CliError(str(exc)) from exc
-    run_sweep(spec)
+    write_sweep_csv(run_sweep(spec), args.out)
     print(args.out)
     return 0
 
 
 def _cmd_find_price(args: argparse.Namespace) -> int:
-    s = validate_scenario(_scenario_from_args(args))
-    settings = _settings_from_args(args)
+    s = _scenario_from_args(args)
     lams = _inclusive_grid(args.from_, args.to, args.step)
-    rows = required_emergency_price(
-        s,
-        lams,
-        reference=args.reference,
-        settings=settings,
-        price_hi=args.price_max,
-        resolution=args.resolution,
-    )
+    try:
+        rows = required_emergency_price(
+            s, lams, reference=args.reference, price_hi=args.price_max
+        )
+    except ValueError as exc:
+        raise _CliError(str(exc)) from exc
     write_required_price_csv(rows, args.out)
     print(args.out)
     return 0
@@ -265,13 +252,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
         metavar="PATH=VALUE",
         help="patch a config scalar by dotted path (repeatable)",
     )
-
-
-def _add_solver_flags(sub: argparse.ArgumentParser) -> None:
-    defaults = SolverSettings()
-    sub.add_argument("--grid-step", type=float, default=defaults.grid_step)
-    sub.add_argument("--tol", type=float, default=defaults.tol)
-    sub.add_argument("--max-iters", type=int, default=defaults.max_iters)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -295,13 +275,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve-pt", help="iterated best responses with framing")
     _add_common(p)
-    _add_solver_flags(p)
     p.add_argument("--start", default=None, metavar="A1,A2", help="initial profile")
     p.set_defaults(handler=_cmd_solve_pt)
 
     p = sub.add_parser("sweep", help="run one sweep family and write its CSV")
     _add_common(p)
-    _add_solver_flags(p)
     p.add_argument("--param", required=True, choices=sorted(_SWEEP_PARAMS))
     p.add_argument("--from", dest="from_", type=float, required=True)
     p.add_argument("--to", type=float, required=True)
@@ -318,7 +296,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "find-price", help="minimal emergency price covering the critical load"
     )
     _add_common(p)
-    _add_solver_flags(p)
     p.add_argument("--from", dest="from_", type=float, default=1.0, help="first loss-aversion value")
     p.add_argument("--to", type=float, default=4.0, help="last loss-aversion value")
     p.add_argument("--step", type=float, default=0.5)
@@ -329,7 +306,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="reference point applied to framed players (default: from config)",
     )
     p.add_argument("--price-max", type=float, default=30.0)
-    p.add_argument("--resolution", type=float, default=0.01)
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(handler=_cmd_find_price)
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -35,11 +35,12 @@ from .model import (
     validate_scenario,
 )
 from .pt import expected_pt_utility
-from .solver import SolverSettings, iterate_best_response
+from .solver import iterate_best_response
 
 __all__ = [
     "CSV_COLUMNS",
     "SWEPT_PARAMETERS",
+    "PRICE_STEP",
     "SweepSpec",
     "SweepRow",
     "EmergencyPriceRow",
@@ -71,15 +72,16 @@ CSV_COLUMNS = (
 SWEPT_PARAMETERS = (
     "reference_point",
     "emergency_price",
-    "lambda",
     "reference_point_asymmetric",
 )
+
+# Step of the covering-price search: candidates are whole cents.
+PRICE_STEP = 0.01
 
 
 def default_scenario(
     reference: float = 11.5,
     lam: float = 2.25,
-    beta: float = 0.88,
     framed: bool = True,
 ) -> Scenario:
     """Two identical microgrids on the benchmark grid parameters.
@@ -87,7 +89,7 @@ def default_scenario(
     With ``framed`` both players carry prospect parameters; otherwise
     the scenario is purely rational.
     """
-    p = ProspectParams(r=reference, lam=lam, beta_plus=beta, beta_minus=beta)
+    p = ProspectParams(r=reference, lam=lam, beta_plus=0.88, beta_minus=0.88)
     return Scenario(
         grid=GridParams(rho=0.1, rho_c=11.6, theta=0.01, l_c=200.0),
         microgrids=(
@@ -105,8 +107,6 @@ class SweepSpec:
     base: Scenario
     swept_parameter: str
     values: tuple[float, ...]
-    solver: SolverSettings = field(default_factory=SolverSettings)
-    output_path: str | Path | None = None
     # Second axis for the emergency-price sweep: the reference points
     # evaluated at each swept price.
     reference_values: tuple[float, ...] | None = None
@@ -184,10 +184,10 @@ class RequiredPriceRow(SweepRow):
 # --- solving helpers -------------------------------------------------
 
 
-def _solve_point(scenario: Scenario, settings: SolverSettings) -> EquilibriumResult:
+def _solve_point(scenario: Scenario) -> EquilibriumResult:
     """Solve one scenario, downgrading a best-response cycle to a flagged result."""
     try:
-        return iterate_best_response(scenario, settings=settings)
+        return iterate_best_response(scenario)
     except CycleDetected as exc:
         profile = StrategyProfile.of(*exc.second)
         utilities = tuple(
@@ -268,9 +268,7 @@ def sweep_reference_point(spec: SweepSpec) -> list[SweepRow]:
     rows = [_row("cgt_baseline", None, base, closed[0])]
     for r in spec.values:
         scenario = _with_reference(base, r)
-        rows.append(_row("reference_point", r, scenario, _solve_point(scenario, spec.solver)))
-    if spec.output_path is not None:
-        write_sweep_csv(rows, spec.output_path)
+        rows.append(_row("reference_point", r, scenario, _solve_point(scenario)))
     return rows
 
 
@@ -299,7 +297,7 @@ def sweep_emergency_price(spec: SweepSpec) -> list[EmergencyPriceRow]:
         anchor = None
         for r in references:
             scenario = _with_reference(scenarios[rho_c], r)
-            res = _solve_point(scenario, spec.solver)
+            res = _solve_point(scenario)
             total = _total_stored(res.profile, scenario)
             if anchor is None:
                 anchor = total
@@ -315,8 +313,6 @@ def sweep_emergency_price(spec: SweepSpec) -> list[EmergencyPriceRow]:
                     pct_deviation_from_r_min=pct,
                 )
             )
-    if spec.output_path is not None:
-        write_sweep_csv(rows, spec.output_path)
     return rows
 
 
@@ -334,49 +330,43 @@ def required_emergency_price(
     base: Scenario,
     lambda_values: Sequence[float],
     reference: float | None = None,
-    coverage_target: float | None = None,
-    settings: SolverSettings | None = None,
     price_hi: float = 30.0,
-    resolution: float = 0.01,
 ) -> list[RequiredPriceRow]:
-    """Minimal emergency price whose equilibrium covers the target.
+    """Minimal emergency price whose equilibrium covers the critical load.
 
     For each loss-aversion level the price axis is scanned upward in
     coarse steps from just above rho/theta (the smallest price
     respecting the incentive condition); the first covering bracket is
-    then bisected down to ``resolution``.  If the stored total is not
+    then bisected down to ``PRICE_STEP``.  If the stored total is not
     monotone across the scanned prefix the bracket is resolved by a
     fine ascending scan instead, so the reported price is the first
     crossing either way.  Raises NoCoveragePrice when even ``price_hi``
-    leaves the target uncovered.
+    leaves the load uncovered.
 
     The framed game can have several equilibria at one price (for
     example a symmetric one and two one-sided ones).  "Its equilibrium"
     is the one ``iterate_best_response`` reaches from (1, 1), so the
     reported price is the first at which that equilibrium covers the
-    target; two searches can report prices from different branches.
+    load; two searches can report prices from different branches.
     """
-    base = validate_scenario(base)
-    settings = settings or SolverSettings()
+    framed = [p for p in base.prospect if p is not None]
+    if not framed:
+        raise MissingProspectParams(0)
+    reference = float(framed[0].r if reference is None else reference)
+    # Validated with the reference applied, so a non-finite one is refused.
+    prospect = tuple(replace(p, r=reference) if p is not None else None for p in base.prospect)
+    base = validate_scenario(replace(base, prospect=prospect))
     lams = tuple(float(v) for v in lambda_values)
     _require_increasing("lambda_values", lams)
-    if reference is None:
-        framed = [p for p in base.prospect if p is not None]
-        if not framed:
-            raise MissingProspectParams(0)
-        reference = framed[0].r
-    target = base.grid.l_c if coverage_target is None else float(coverage_target)
+    target = base.grid.l_c
     lo_floor = base.grid.rho / base.grid.theta * (1.0 + 1e-6)
-    if price_hi <= lo_floor:
-        raise ValueError("price_hi must exceed rho/theta")
+    if not (math.isfinite(price_hi) and price_hi > lo_floor):
+        raise ValueError(
+            f"price_hi = {price_hi:g} must be finite and exceed rho/theta = {lo_floor:.6g}"
+        )
 
     def with_price(lam: float, rho_c: float) -> Scenario:
-        prospect = tuple(
-            replace(p, r=float(reference), lam=lam) if p is not None else None
-            for p in base.prospect
-        )
-        if all(p is None for p in prospect):
-            raise MissingProspectParams(0)
+        prospect = tuple(replace(p, lam=lam) if p is not None else None for p in base.prospect)
         return replace(
             base,
             grid=replace(base.grid, rho_c=rho_c),
@@ -386,7 +376,7 @@ def required_emergency_price(
     def search(lam: float) -> RequiredPriceRow:
         def stored(rho_c: float) -> float:
             scenario = with_price(lam, rho_c)
-            return _total_stored(_solve_point(scenario, settings).profile, scenario)
+            return _total_stored(_solve_point(scenario).profile, scenario)
 
         if stored(price_hi) < target:
             raise NoCoveragePrice(lam, price_hi)
@@ -406,7 +396,7 @@ def required_emergency_price(
                 break
 
         def snap_up(p: float) -> float:
-            return round(math.ceil(p / resolution - 1e-9) * resolution, 2)
+            return round(math.ceil(p / PRICE_STEP - 1e-9) * PRICE_STEP, 2)
 
         if first_covered == 0:
             star = snap_up(points[0])
@@ -418,7 +408,7 @@ def required_emergency_price(
             if monotone:
                 # Narrow by bisection, then pick the first grid price
                 # inside the bracket that still covers.
-                while hi - lo > resolution:
+                while hi - lo > PRICE_STEP:
                     mid = 0.5 * (lo + hi)
                     if stored(mid) >= target:
                         hi = mid
@@ -429,20 +419,20 @@ def required_emergency_price(
             star = snap_up(hi)
             p = snap_up(lo)
             if p <= lo:
-                p = round(p + resolution, 2)
+                p = round(p + PRICE_STEP, 2)
             while p < star:
                 if stored(p) >= target:
                     star = p
                     break
-                p = round(p + resolution, 2)
+                p = round(p + PRICE_STEP, 2)
         scenario = with_price(lam, star)
         return _row(
             f"required_emergency_price:R={reference:g}",
             lam,
             scenario,
-            _solve_point(scenario, settings),
+            _solve_point(scenario),
             RequiredPriceRow,
-            reference=float(reference),
+            reference=reference,
             rho_c_star=star,
         )
 
@@ -452,11 +442,9 @@ def required_emergency_price(
 def asymmetric_equilibrium(
     base: Scenario,
     r_values: Sequence[float],
-    settings: SolverSettings | None = None,
 ) -> list[SweepRow]:
     """Mixed game: player 1 frames outcomes at each reference, player 2 stays rational."""
     base = validate_scenario(base)
-    settings = settings or SolverSettings()
     if base.prospect[0] is None:
         raise MissingProspectParams(0)
     values = tuple(float(v) for v in r_values)
@@ -466,33 +454,18 @@ def asymmetric_equilibrium(
     for r in values:
         scenario = replace(base, prospect=(replace(base.prospect[0], r=r), None))
         rows.append(
-            _row("reference_point_asymmetric", r, scenario, _solve_point(scenario, settings))
+            _row("reference_point_asymmetric", r, scenario, _solve_point(scenario))
         )
     return rows
 
 
-def run_sweep(spec: SweepSpec):
-    """Dispatch a sweep by its swept parameter and write its CSV.
-
-    Returns the row list of the matching experiment family.  The
-    ``lambda`` kind searches the covering price per loss-aversion value
-    and writes the extended CSV carrying rho_c_star.
-    """
+def run_sweep(spec: SweepSpec) -> list[SweepRow]:
+    """Dispatch a sweep by its swept parameter; returns the family's rows."""
     if spec.swept_parameter == "reference_point":
         return sweep_reference_point(spec)
     if spec.swept_parameter == "emergency_price":
         return sweep_emergency_price(spec)
-    if spec.swept_parameter == "reference_point_asymmetric":
-        rows = asymmetric_equilibrium(spec.base, spec.values, spec.solver)
-        if spec.output_path is not None:
-            write_sweep_csv(rows, spec.output_path)
-        return rows
-    rows = required_emergency_price(
-        spec.base, spec.values, settings=spec.solver
-    )
-    if spec.output_path is not None:
-        write_required_price_csv(rows, spec.output_path)
-    return rows
+    return asymmetric_equilibrium(spec.base, spec.values)
 
 
 # --- CSV serialization ------------------------------------------------

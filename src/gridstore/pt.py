@@ -59,11 +59,9 @@ class PtBranchTerms:
     reference point, and ``b`` the own fraction at which the untrimmed
     utility crosses it.  ``m_g``/``m_l`` are the antiderivative
     coefficients of the gain and loss segments, already carrying the
-    uniform belief density.  ``u_i1`` is the untrimmed utility, ``u_a2``
-    and ``u_max2`` the trimmed utility at the split point and at the
-    largest opponent surplus, and ``u_r2`` the trimmed utility at the
-    crossing, meaningful only for the Mixed branch where it equals the
-    reference by construction.
+    uniform belief density.  ``u_i1`` is the untrimmed utility, and
+    ``u_a2`` and ``u_max2`` the trimmed utility at the split point and
+    at the largest opponent surplus.
     """
 
     a: float
@@ -74,7 +72,6 @@ class PtBranchTerms:
     u_i1: float
     u_max2: float
     u_a2: float
-    u_r2: float
     branch: Branch
 
 
@@ -142,7 +139,6 @@ def pt_branch_terms(player: int, profile: StrategyProfile, s: Scenario) -> PtBra
         u_i1=u_i1,
         u_max2=u_max2,
         u_a2=u_i1,
-        u_r2=pp.r if branch == "Mixed" else float("nan"),
         branch=branch,
     )
 

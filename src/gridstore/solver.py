@@ -5,12 +5,14 @@ over the opponent's uniform type directly, so it shares no algebra with
 the closed forms it is used to check.  The grid searcher maximizes the
 closed-form expected utility by brute force, and the iteration solver
 alternates best responses until a fixed point, a cycle, or the round cap.
+
+The numerics are fixed: a 1e-3 search grid (``GRID_STEP``), a 1e-6
+fixed-point tolerance (``TOL``), a 200-round cap (``MAX_ROUNDS``) and a
+1e-10 relative quadrature tolerance (``QUAD_REL_TOL``).
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -21,40 +23,23 @@ from .errors import CycleDetected
 from .model import Scenario, StrategyProfile, realized_utility, require_two_player
 
 __all__ = [
-    "SolverSettings",
+    "GRID_STEP",
+    "TOL",
+    "MAX_ROUNDS",
+    "QUAD_REL_TOL",
     "quadrature_expected_utility",
     "grid_best_response",
     "iterate_best_response",
 ]
 
+GRID_STEP = 1e-3
+TOL = 1e-6
+MAX_ROUNDS = 200
+QUAD_REL_TOL = 1e-10
 
-@dataclass(frozen=True)
-class SolverSettings:
-    """Knobs shared by the numerical routines.
-
-    ``grid_step`` is the brute-force search resolution, ``tol`` the
-    fixed-point convergence threshold, ``max_iters`` the round cap, and
-    ``quad_rel_tol`` the relative tolerance of the quadrature oracle.
-    """
-
-    grid_step: float = 1e-3
-    tol: float = 1e-6
-    max_iters: int = 200
-    quad_rel_tol: float = 1e-10
-
-    def __post_init__(self):
-        if not 0.0 < self.grid_step <= 0.1:
-            raise ValueError(f"grid_step = {self.grid_step:g} must lie in (0, 0.1]")
-        if self.tol <= 0.0 or self.max_iters < 1 or self.quad_rel_tol <= 0.0:
-            raise ValueError("tol, max_iters, and quad_rel_tol must be positive")
-        # Ternary refinement resolves about three decades below the grid
-        # step; asking for convergence beyond that is resolution-limited.
-        if self.tol < self.grid_step * 1e-3:
-            warnings.warn(
-                f"tol = {self.tol:g} is far finer than grid_step = "
-                f"{self.grid_step:g}; convergence is resolution-limited",
-                stacklevel=2,
-            )
+# The brute-force search grid: [0, 1] in steps of GRID_STEP.
+_UNIT_GRID = np.linspace(0.0, 1.0, round(1.0 / GRID_STEP) + 1)
+_UNIT_GRID.flags.writeable = False
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +52,6 @@ def quadrature_expected_utility(
     profile: StrategyProfile,
     s: Scenario,
     framed: bool = False,
-    settings: SolverSettings | None = None,
 ) -> float:
     """Expected (framed) utility by adaptive quadrature over the opponent type.
 
@@ -78,7 +62,6 @@ def quadrature_expected_utility(
     piece is smooth except for an integrable endpoint kink.
     """
     require_two_player(s)
-    settings = settings or SolverSettings()
     opp = 1 - player
     belief = s.belief_about(opp)
     q2max = belief.upper
@@ -113,7 +96,7 @@ def quadrature_expected_utility(
             lo,
             hi,
             epsabs=1e-13,
-            epsrel=settings.quad_rel_tol,
+            epsrel=QUAD_REL_TOL,
             limit=200,
         )
         total += val
@@ -123,14 +106,6 @@ def quadrature_expected_utility(
 # ---------------------------------------------------------------------------
 # brute-force best response
 # ---------------------------------------------------------------------------
-
-
-def _unit_grid(step: float) -> np.ndarray:
-    m = round(1.0 / step)
-    if abs(m * step - 1.0) <= 1e-9:
-        return np.linspace(0.0, 1.0, m + 1)
-    grid = np.arange(0.0, 1.0, step)
-    return np.append(grid, 1.0)
 
 
 def _objective(
@@ -182,7 +157,6 @@ def grid_best_response(
     opponent_alpha: float,
     s: Scenario,
     framed: bool = False,
-    settings: SolverSettings | None = None,
 ) -> float:
     """Brute-force argmax of the closed-form expected utility.
 
@@ -192,9 +166,8 @@ def grid_best_response(
     non-unimodal bracket can never make the answer worse.
     """
     require_two_player(s)
-    settings = settings or SolverSettings()
     vec, scalar = _objective(player, s, framed)
-    grid = _unit_grid(settings.grid_step)
+    grid = _UNIT_GRID
     values = vec(grid, opponent_alpha)
     i = int(np.argmax(values))
     best_alpha = float(grid[i])
@@ -217,7 +190,6 @@ def grid_best_response(
 def _iterate(
     responders: Sequence[Callable[[float], float]],
     initial: tuple[float, float],
-    settings: SolverSettings,
 ) -> tuple[tuple[float, float], bool, int, float]:
     """Alternate best responses in index order until fixed point or cycle.
 
@@ -228,49 +200,42 @@ def _iterate(
     current = initial
     history = [current]
     delta = float("inf")
-    for rounds in range(1, settings.max_iters + 1):
+    for rounds in range(1, MAX_ROUNDS + 1):
         a = list(current)
         for p, respond in enumerate(responders):
             a[p] = respond(a[1 - p])
         nxt = (a[0], a[1])
         delta = max(abs(nxt[0] - current[0]), abs(nxt[1] - current[1]))
-        if delta <= settings.tol:
+        if delta <= TOL:
             return nxt, True, rounds, delta
         if len(history) >= 2 and nxt == history[-2] and nxt != history[-1]:
             raise CycleDetected(history[-1], nxt, iterations=rounds)
         history.append(nxt)
         current = nxt
-    return current, False, settings.max_iters, delta
+    return current, False, MAX_ROUNDS, delta
 
 
 def iterate_best_response(
     s: Scenario,
     initial: StrategyProfile | None = None,
-    settings: SolverSettings | None = None,
-    framed: Sequence[bool] | None = None,
 ) -> cgt.EquilibriumResult:
     """Fixed point of alternating best responses.
 
-    Rational players respond with the closed form, framed players with
-    the grid search.  ``framed`` defaults to whichever players carry
-    prospect parameters.  Convergence means the largest strategy update
-    in a round is at most ``settings.tol``.
+    Players carrying prospect parameters respond with the framed grid
+    search, the others with the closed form.  Convergence means the
+    largest strategy update in a round is at most ``TOL``; after
+    ``MAX_ROUNDS`` rounds the result is reported as not converged.
     """
     require_two_player(s)
-    settings = settings or SolverSettings()
-    if framed is None:
-        framed = tuple(p is not None for p in s.prospect)
-    framed = tuple(bool(f) for f in framed)
+    framed = tuple(p is not None for p in s.prospect)
     start = (1.0, 1.0) if initial is None else (initial[0], initial[1])
 
     def responder(p: int) -> Callable[[float], float]:
         if framed[p]:
-            return lambda a_opp: grid_best_response(p, a_opp, s, True, settings)
+            return lambda a_opp: grid_best_response(p, a_opp, s, True)
         return lambda a_opp: cgt.best_response_cgt(p, a_opp, s)[0]
 
-    final, converged, rounds, delta = _iterate(
-        (responder(0), responder(1)), start, settings
-    )
+    final, converged, rounds, delta = _iterate((responder(0), responder(1)), start)
     profile = StrategyProfile.of(*final)
     utilities = tuple(
         pt.expected_pt_utility(p, profile, s)
@@ -280,7 +245,7 @@ def iterate_best_response(
     )
     return cgt.EquilibriumResult(
         profile=profile,
-        classification=_classify(profile, s, framed, settings),
+        classification=_classify(profile, s, framed),
         conditions=(),
         expected_utilities=utilities,
         converged=converged,
@@ -293,12 +258,11 @@ def _classify(
     profile: StrategyProfile,
     s: Scenario,
     framed: tuple[bool, ...],
-    settings: SolverSettings,
 ) -> str:
     """Label an iterated result; purely rational runs map onto a closed-form BNE."""
     if any(framed):
         return "PT-Iterated"
-    atol = max(10.0 * settings.tol, 1e-6)
+    atol = 10.0 * TOL
     for res in cgt.enumerate_bne(s):
         if all(abs(profile[p] - res.profile[p]) <= atol for p in (0, 1)):
             return res.classification

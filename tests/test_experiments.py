@@ -13,7 +13,6 @@ import pytest
 
 from gridstore import (
     InvalidScenario,
-    SolverSettings,
     StrategyProfile,
     SweepSpec,
     asymmetric_equilibrium,
@@ -124,7 +123,7 @@ def test_reference_sweep_matches_direct_solve():
 
 
 def test_cycle_becomes_a_flagged_row(monkeypatch):
-    def cycling(scenario, settings=None):
+    def cycling(scenario):
         raise CycleDetected((0.5, 1.0), (1.0, 0.5), iterations=7)
 
     monkeypatch.setattr(experiments, "iterate_best_response", cycling)
@@ -235,10 +234,9 @@ def test_sweep_csv_format(tmp_path):
         base=default_scenario(),
         swept_parameter="reference_point",
         values=(11.5,),
-        output_path=tmp_path / "rows.csv",
     )
     rows = run_sweep(spec)
-    text = (tmp_path / "rows.csv").read_text()
+    text = write_sweep_csv(rows, tmp_path / "rows.csv").read_text()
     lines = text.splitlines()
     assert lines[0] == CSV_HEADER
     assert len(lines) == 1 + len(rows)
