@@ -15,7 +15,6 @@ from .cgt import (
     verify_bne,
 )
 from .errors import (
-    CycleDetected,
     DegenerateOpponentStrategy,
     GridStoreError,
     InvalidScenario,
@@ -64,7 +63,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Belief",
     "BestResponseCase",
-    "CycleDetected",
     "DegenerateOpponentStrategy",
     "EmergencyPriceRow",
     "EquilibriumResult",

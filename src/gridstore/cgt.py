@@ -14,7 +14,7 @@ from typing import Literal
 
 import numpy as np
 
-from .model import Scenario, StrategyProfile, require_two_player
+from .model import Scenario, StrategyProfile
 
 __all__ = [
     "BestResponseCase",
@@ -60,19 +60,6 @@ class EquilibriumResult:
     residual: float = 0.0
 
 
-def _duel(player: int, s: Scenario) -> tuple[float, float, float, float, float]:
-    """Constants of the two-player game seen from ``player``'s side."""
-    opp = 1 - player
-    g = s.grid
-    return (
-        s.microgrids[player].q,
-        s.microgrids[opp].q_max,
-        g.rho,
-        g.emergency_value,
-        g.l_c,
-    )
-
-
 def expected_utility_grid_cgt(
     own_alpha: np.ndarray | float,
     opp_alpha: float,
@@ -111,8 +98,7 @@ def expected_utility_grid_cgt(
 
 def expected_utility_cgt(player: int, profile: StrategyProfile, s: Scenario) -> float:
     """Expected utility of a rational player against a uniform opponent type."""
-    require_two_player(s)
-    q1, q2max, rho, k, lc = _duel(player, s)
+    q1, q2max, rho, k, lc = s.duel(player)
     a = profile
     return float(
         expected_utility_grid_cgt(a[player], a[1 - player], q1, q2max, rho, k, lc)[0]
@@ -140,8 +126,7 @@ def best_response_cgt(
       * PriceDominatedStoreAll: the emergency premium is large enough that
         storing everything beats the interior candidate.
     """
-    require_two_player(s)
-    q1, q2max, rho, k, lc = _duel(player, s)
+    q1, q2max, rho, k, lc = s.duel(player)
     t = (lc - q1) / q2max
     gap = 2.0 * rho / k - 1.0
     slack = gap * opponent_alpha - t
@@ -155,7 +140,6 @@ def best_response_cgt(
 
 def verify_bne(profile: StrategyProfile, s: Scenario, tol: float = 1e-9) -> bool:
     """Check mutual best responses within ``tol``."""
-    require_two_player(s)
     for p in (0, 1):
         br, _ = best_response_cgt(p, profile[1 - p], s)
         if abs(profile[p] - br) > tol:
@@ -163,9 +147,15 @@ def verify_bne(profile: StrategyProfile, s: Scenario, tol: float = 1e-9) -> bool
     return True
 
 
-def _interior_coefficients(player: int, s: Scenario) -> tuple[float, float]:
-    """Interior best response written as own = intercept + slope * opponent."""
-    q1, q2max, rho, k, lc = _duel(player, s)
+def _interior_coefficients(player: int, s: Scenario) -> tuple[float, float] | None:
+    """Interior best response written as own = intercept + slope * opponent.
+
+    ``None`` for a player without surplus: it has no interior best
+    response and always stores everything.
+    """
+    q1, q2max, rho, k, lc = s.duel(player)
+    if q1 == 0.0:
+        return None
     return lc / q1, (k - 2.0 * rho) * q2max / (q1 * k)
 
 
@@ -208,25 +198,27 @@ def _conditions(classification: str, profile: tuple[float, float], s: Scenario) 
 
 
 def bne_candidates(s: Scenario) -> list[tuple[str, StrategyProfile, tuple[str, ...]]]:
-    """The four closed-form equilibrium candidates, possibly out of range.
+    """The closed-form equilibrium candidates, possibly out of range.
 
     Each entry is ``(label, profile, conditions)``: the candidate's label
     (BNE1..BNE4), its unverified profile, and the labels of the
-    sufficient existence conditions it satisfies.
+    sufficient existence conditions it satisfies.  Candidates that need
+    the interior best response of a player without surplus are left out.
     """
-    require_two_player(s)
-    d1, c1 = _interior_coefficients(0, s)
-    d2, c2 = _interior_coefficients(1, s)
-    candidates = [
-        ("BNE1", (1.0, 1.0)),
-        ("BNE2", (1.0, _snap_unit(d2 + c2))),
-        ("BNE3", (_snap_unit(d1 + c1), 1.0)),
-    ]
-    denom = 1.0 - c1 * c2
-    if denom != 0.0:
-        a1 = (d1 + c1 * d2) / denom
-        a2 = (d2 + c2 * d1) / denom
-        candidates.append(("BNE4", (_snap_unit(a1), _snap_unit(a2))))
+    one = _interior_coefficients(0, s)
+    two = _interior_coefficients(1, s)
+    candidates = [("BNE1", (1.0, 1.0))]
+    if two is not None:
+        candidates.append(("BNE2", (1.0, _snap_unit(two[0] + two[1]))))
+    if one is not None:
+        candidates.append(("BNE3", (_snap_unit(one[0] + one[1]), 1.0)))
+    if one is not None and two is not None:
+        (d1, c1), (d2, c2) = one, two
+        denom = 1.0 - c1 * c2
+        if denom != 0.0:
+            a1 = (d1 + c1 * d2) / denom
+            a2 = (d2 + c2 * d1) / denom
+            candidates.append(("BNE4", (_snap_unit(a1), _snap_unit(a2))))
     return [
         (label, StrategyProfile.of(*cand), _conditions(label, cand, s))
         for label, cand in candidates

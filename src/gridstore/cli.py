@@ -8,8 +8,9 @@ patches individual scalars with dotted paths (``grid.rho_c=12``,
 files.
 
 Exit codes: 0 success, 2 unreadable config or bad flag values, 3
-scenario validation failure, 4 solver non-convergence (including a
-detected best-response cycle and an unreachable coverage price).
+scenario validation failure (including a config without exactly two
+microgrids), 4 solver non-convergence (including an unreachable coverage
+price).
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from typing import Sequence
 
 from .cgt import bne_candidates, enumerate_bne, verify_bne
 from .errors import (
-    CycleDetected,
     DegenerateOpponentStrategy,
     InvalidScenario,
     MissingProspectParams,
@@ -46,6 +46,10 @@ _SWEEP_PARAMS = {
     "emergency-price": "emergency_price",
     "reference-point-asymmetric": "reference_point_asymmetric",
 }
+
+
+# Largest number of values a --from/--to/--step grid may hold.
+_MAX_GRID_VALUES = 10_000
 
 
 class _CliError(Exception):
@@ -102,7 +106,13 @@ def _inclusive_grid(lo: float, hi: float, step: float) -> tuple[float, ...]:
         raise _CliError("--step must be > 0")
     if hi < lo:
         raise _CliError("--to must be >= --from")
-    count = int(math.floor((hi - lo) / step + 1e-9))
+    span = (hi - lo) / step + 1e-9
+    # Checked before building, so a tiny step cannot exhaust memory.
+    if not span < _MAX_GRID_VALUES:
+        raise _CliError(
+            f"--from, --to and --step give more than {_MAX_GRID_VALUES} grid values"
+        )
+    count = int(math.floor(span))
     # Rounding keeps swept values clean of accumulated float dust.
     return tuple(round(lo + i * step, 12) for i in range(count + 1))
 
@@ -330,7 +340,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     except (MissingProspectParams, NotTwoPlayer, DegenerateOpponentStrategy) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (CycleDetected, NoCoveragePrice) as exc:
+    except NoCoveragePrice as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
 

@@ -32,18 +32,6 @@ class MissingProspectParams(GridStoreError):
     """A framed evaluation was requested for a player without prospect parameters."""
 
 
-class CycleDetected(GridStoreError):
-    """Best-response iteration entered a period-2 cycle instead of converging."""
-
-    def __init__(self, first, second, iterations: int = 0):
-        self.first = first
-        self.second = second
-        self.iterations = iterations
-        super().__init__(
-            f"best-response iteration cycles between {first} and {second}"
-        )
-
-
 class NoCoveragePrice(GridStoreError):
     """No emergency price up to the search ceiling covers the critical load."""
 

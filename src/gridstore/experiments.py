@@ -24,8 +24,8 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .cgt import EquilibriumResult, enumerate_bne, expected_utility_cgt
-from .errors import CycleDetected, GridStoreError, MissingProspectParams, NoCoveragePrice
+from .cgt import EquilibriumResult, enumerate_bne
+from .errors import GridStoreError, MissingProspectParams, NoCoveragePrice
 from .model import (
     GridParams,
     MicrogridConfig,
@@ -34,7 +34,6 @@ from .model import (
     StrategyProfile,
     validate_scenario,
 )
-from .pt import expected_pt_utility
 from .solver import iterate_best_response
 
 __all__ = [
@@ -184,30 +183,8 @@ class RequiredPriceRow(SweepRow):
 # --- solving helpers -------------------------------------------------
 
 
-def _solve_point(scenario: Scenario) -> EquilibriumResult:
-    """Solve one scenario, downgrading a best-response cycle to a flagged result."""
-    try:
-        return iterate_best_response(scenario)
-    except CycleDetected as exc:
-        profile = StrategyProfile.of(*exc.second)
-        utilities = tuple(
-            expected_pt_utility(p, profile, scenario)
-            if scenario.prospect[p] is not None
-            else expected_utility_cgt(p, profile, scenario)
-            for p in (0, 1)
-        )
-        return EquilibriumResult(
-            profile=profile,
-            classification="Cycle",
-            conditions=(),
-            expected_utilities=utilities,
-            converged=False,
-            iterations=exc.iterations,
-        )
-
-
 def _total_stored(profile: StrategyProfile, scenario: Scenario) -> float:
-    return sum(profile[p] * scenario.surpluses[p] for p in range(scenario.n))
+    return sum(profile[p] * scenario.surpluses[p] for p in (0, 1))
 
 
 def _row(
@@ -268,7 +245,7 @@ def sweep_reference_point(spec: SweepSpec) -> list[SweepRow]:
     rows = [_row("cgt_baseline", None, base, closed[0])]
     for r in spec.values:
         scenario = _with_reference(base, r)
-        rows.append(_row("reference_point", r, scenario, _solve_point(scenario)))
+        rows.append(_row("reference_point", r, scenario, iterate_best_response(scenario)))
     return rows
 
 
@@ -297,7 +274,7 @@ def sweep_emergency_price(spec: SweepSpec) -> list[EmergencyPriceRow]:
         anchor = None
         for r in references:
             scenario = _with_reference(scenarios[rho_c], r)
-            res = _solve_point(scenario)
+            res = iterate_best_response(scenario)
             total = _total_stored(res.profile, scenario)
             if anchor is None:
                 anchor = total
@@ -353,11 +330,24 @@ def required_emergency_price(
     if not framed:
         raise MissingProspectParams(0)
     reference = float(framed[0].r if reference is None else reference)
-    # Validated with the reference applied, so a non-finite one is refused.
-    prospect = tuple(replace(p, r=reference) if p is not None else None for p in base.prospect)
-    base = validate_scenario(replace(base, prospect=prospect))
     lams = tuple(float(v) for v in lambda_values)
     _require_increasing("lambda_values", lams)
+
+    def with_price(lam: float, rho_c: float) -> Scenario:
+        prospect = tuple(
+            replace(p, r=reference, lam=lam) if p is not None else None for p in base.prospect
+        )
+        return replace(
+            base,
+            grid=replace(base.grid, rho_c=rho_c),
+            prospect=prospect,
+        )
+
+    # Every loss-aversion level is validated with the reference applied
+    # before any solve, so a non-finite reference or a lambda below 1 is
+    # refused.
+    for lam in lams:
+        validate_scenario(with_price(lam, base.grid.rho_c))
     target = base.grid.l_c
     lo_floor = base.grid.rho / base.grid.theta * (1.0 + 1e-6)
     if not (math.isfinite(price_hi) and price_hi > lo_floor):
@@ -365,18 +355,10 @@ def required_emergency_price(
             f"price_hi = {price_hi:g} must be finite and exceed rho/theta = {lo_floor:.6g}"
         )
 
-    def with_price(lam: float, rho_c: float) -> Scenario:
-        prospect = tuple(replace(p, lam=lam) if p is not None else None for p in base.prospect)
-        return replace(
-            base,
-            grid=replace(base.grid, rho_c=rho_c),
-            prospect=prospect,
-        )
-
     def search(lam: float) -> RequiredPriceRow:
         def stored(rho_c: float) -> float:
             scenario = with_price(lam, rho_c)
-            return _total_stored(_solve_point(scenario).profile, scenario)
+            return _total_stored(iterate_best_response(scenario).profile, scenario)
 
         if stored(price_hi) < target:
             raise NoCoveragePrice(lam, price_hi)
@@ -430,7 +412,7 @@ def required_emergency_price(
             f"required_emergency_price:R={reference:g}",
             lam,
             scenario,
-            _solve_point(scenario),
+            iterate_best_response(scenario),
             RequiredPriceRow,
             reference=reference,
             rho_c_star=star,
@@ -454,7 +436,7 @@ def asymmetric_equilibrium(
     for r in values:
         scenario = replace(base, prospect=(replace(base.prospect[0], r=r), None))
         rows.append(
-            _row("reference_point_asymmetric", r, scenario, _solve_point(scenario))
+            _row("reference_point_asymmetric", r, scenario, iterate_best_response(scenario))
         )
     return rows
 

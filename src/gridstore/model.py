@@ -29,7 +29,6 @@ __all__ = [
     "Scenario",
     "Check",
     "scenario_checks",
-    "require_two_player",
     "violations",
     "validate_scenario",
     "scenario_from_dict",
@@ -121,7 +120,11 @@ class StrategyProfile:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Full game description: environment, players, optional framing."""
+    """Full game description: environment, the two players, optional framing.
+
+    The game has exactly two microgrids; any other count raises
+    ``NotTwoPlayer`` here, so no solver checks it again.
+    """
 
     grid: GridParams
     microgrids: tuple[MicrogridConfig, ...]
@@ -129,14 +132,24 @@ class Scenario:
 
     def __post_init__(self):
         object.__setattr__(self, "microgrids", tuple(self.microgrids))
+        if len(self.microgrids) != 2:
+            raise NotTwoPlayer(
+                f"need exactly 2 players, scenario has {len(self.microgrids)}"
+            )
         prospect = tuple(self.prospect) if self.prospect is not None else ()
         if not prospect:
-            prospect = (None,) * len(self.microgrids)
+            prospect = (None, None)
         object.__setattr__(self, "prospect", prospect)
 
-    @property
-    def n(self) -> int:
-        return len(self.microgrids)
+    def duel(self, player: int) -> tuple[float, float, float, float, float]:
+        """Constants of the game seen from ``player``'s side.
+
+        ``(q1, q2max, rho, k, l_c)``: own surplus, the opponent's surplus
+        capacity, sale price, emergency value theta*rho_c, critical load.
+        """
+        g = self.grid
+        q1, q2max = self.microgrids[player].q, self.microgrids[1 - player].q_max
+        return q1, q2max, g.rho, g.emergency_value, g.l_c
 
     @property
     def surpluses(self) -> tuple[float, ...]:
@@ -244,12 +257,6 @@ def scenario_checks(s: Scenario) -> list[Check]:
             )
         )
     return out
-
-
-def require_two_player(s: Scenario) -> None:
-    """Raise ``NotTwoPlayer`` unless the scenario has exactly two microgrids."""
-    if s.n != 2:
-        raise NotTwoPlayer(f"need exactly 2 players, scenario has {s.n}")
 
 
 def violations(s: Scenario) -> list[Check]:

@@ -17,7 +17,7 @@ from typing import Literal
 import numpy as np
 
 from .errors import DegenerateOpponentStrategy, MissingProspectParams
-from .model import ProspectParams, Scenario, StrategyProfile, require_two_player
+from .model import ProspectParams, Scenario, StrategyProfile
 
 __all__ = [
     "ProspectParams",
@@ -76,7 +76,6 @@ class PtBranchTerms:
 
 
 def _require_framed(player: int, s: Scenario) -> ProspectParams:
-    require_two_player(s)
     p = s.prospect[player]
     if p is None:
         raise MissingProspectParams(f"player {player} has no prospect parameters")
@@ -86,47 +85,45 @@ def _require_framed(player: int, s: Scenario) -> ProspectParams:
 def _contested(a1, a2, q1, q2max, rho, k, lc, pp: ProspectParams):
     """Geometry of the contested region, for a float or an array of own fractions.
 
-    Returns ``(split, u_hi, q2r, m_g, m_l)``: the opponent surplus where
-    trimming starts, the trimmed utility at the largest opponent surplus,
-    the (unclamped) surplus where the trimmed utility crosses the
-    reference, and the gain/loss antiderivative coefficients carrying
-    the uniform belief density.  The trimmed utility is linear and
-    decreasing in the opponent surplus, which gives all five in closed
-    form.
+    Returns ``(split, u_hi, q2r, m_g, m_l, all_gain, all_loss)``: the
+    opponent surplus where trimming starts, the trimmed utility at the
+    largest opponent surplus, the (unclamped) surplus where the trimmed
+    utility crosses the reference, the gain/loss antiderivative
+    coefficients carrying the uniform belief density, and whether the
+    crossing lies past the largest surplus (all gain) or before the split
+    (all loss).  The trimmed utility is linear and decreasing in the
+    opponent surplus, which gives all of them in closed form.
     """
     split = (lc - a1 * q1) / a2
     u_hi = rho * q1 * (1.0 - a1) + 0.5 * k * (a1 * q1 + lc - a2 * q2max)
     q2r = (2.0 / (k * a2)) * (rho * q1 * (1.0 - a1) + 0.5 * k * (a1 * q1 + lc) - pp.r)
     m_g = -2.0 / ((pp.beta_plus + 1.0) * k * a2 * q2max)
     m_l = -2.0 * pp.lam / ((pp.beta_minus + 1.0) * k * a2 * q2max)
-    return split, u_hi, q2r, m_g, m_l
+    return split, u_hi, q2r, m_g, m_l, q2r > q2max, q2r < split
 
 
 def pt_branch_terms(player: int, profile: StrategyProfile, s: Scenario) -> PtBranchTerms:
     """Classify the contested integral and expose its building blocks."""
     pp = _require_framed(player, s)
-    opp = 1 - player
-    a1, a2 = profile[player], profile[opp]
+    a1, a2 = profile[player], profile[1 - player]
     if a2 == 0.0:
         raise DegenerateOpponentStrategy(
             "opponent stores nothing, contested split point is undefined"
         )
-    q1 = s.microgrids[player].q
-    q2max = s.microgrids[opp].q_max
-    g = s.grid
-    rho, k, lc = g.rho, g.emergency_value, g.l_c
-
+    q1, q2max, rho, k, lc = s.duel(player)
     u_i1 = rho * q1 * (1.0 - a1) + k * q1 * a1
-    a, u_max2, q2r, m_g, m_l = _contested(a1, a2, q1, q2max, rho, k, lc, pp)
+    a, u_max2, q2r, m_g, m_l, all_gain, all_loss = _contested(
+        a1, a2, q1, q2max, rho, k, lc, pp
+    )
     if q1 > 0.0:
         b = (pp.r - rho * q1) / (q1 * (k - rho))
     else:
         # Zero surplus pins the untrimmed utility at 0, so the crossing
         # degenerates to whichever side the reference sits on.
         b = np.inf if pp.r >= 0.0 else -np.inf
-    if q2r > q2max:
+    if all_gain:
         branch: Branch = "AllGain"
-    elif q2r < a:
+    elif all_loss:
         branch = "AllLoss"
     else:
         branch = "Mixed"
@@ -162,7 +159,9 @@ def expected_pt_utility_grid(
         if np.any(contested):
             ac = a1[contested]
             u1 = u_lin[contested]
-            split, u_hi, q2r, m_g, m_l = _contested(ac, opp_alpha, q1, q2max, rho, k, lc, pp)
+            split, u_hi, _, m_g, m_l, all_gain, all_loss = _contested(
+                ac, opp_alpha, q1, q2max, rho, k, lc, pp
+            )
             i1 = (split / q2max) * _pt_value_vec(u1, pp)
             bp1 = pp.beta_plus + 1.0
             bm1 = pp.beta_minus + 1.0
@@ -174,8 +173,6 @@ def expected_pt_utility_grid(
             loss_lo = np.maximum(pp.r - u1, 0.0)
 
             i2 = np.empty_like(ac)
-            all_gain = q2r > q2max
-            all_loss = q2r < split
             mixed = ~(all_gain | all_loss)
             i2[all_gain] = m_g * (gain_hi[all_gain] ** bp1 - gain_lo[all_gain] ** bp1)
             i2[all_loss] = m_l * (loss_hi[all_loss] ** bm1 - loss_lo[all_loss] ** bm1)
@@ -200,7 +197,7 @@ def expected_pt_utility_scalar(
     u1 = rho * q1 * (1.0 - a1) + k * q1 * a1
     if a2 <= 0.0 or a1 * q1 + a2 * q2max <= lc:
         return pt_value(u1, pp)
-    split, u_hi, q2r, m_g, m_l = _contested(a1, a2, q1, q2max, rho, k, lc, pp)
+    split, u_hi, _, m_g, m_l, all_gain, all_loss = _contested(a1, a2, q1, q2max, rho, k, lc, pp)
     i1 = (split / q2max) * pt_value(u1, pp)
     bp1 = pp.beta_plus + 1.0
     bm1 = pp.beta_minus + 1.0
@@ -208,9 +205,9 @@ def expected_pt_utility_scalar(
     gain_lo = max(u1 - pp.r, 0.0)
     loss_hi = max(pp.r - u_hi, 0.0)
     loss_lo = max(pp.r - u1, 0.0)
-    if q2r > q2max:
+    if all_gain:
         i2 = m_g * (gain_hi**bp1 - gain_lo**bp1)
-    elif q2r < split:
+    elif all_loss:
         i2 = m_l * (loss_hi**bm1 - loss_lo**bm1)
     else:
         i2 = -m_g * gain_lo**bp1 + m_l * loss_hi**bm1
@@ -225,19 +222,5 @@ def expected_pt_utility(player: int, profile: StrategyProfile, s: Scenario) -> f
     gain and loss segments at the reference crossing.
     """
     pp = _require_framed(player, s)
-    opp = 1 - player
-    q1 = s.microgrids[player].q
-    q2max = s.microgrids[opp].q_max
-    g = s.grid
-    return float(
-        expected_pt_utility_grid(
-            profile[player],
-            profile[opp],
-            q1,
-            q2max,
-            g.rho,
-            g.emergency_value,
-            g.l_c,
-            pp,
-        )[0]
-    )
+    a1, a2 = profile[player], profile[1 - player]
+    return float(expected_pt_utility_grid(a1, a2, *s.duel(player), pp)[0])

@@ -3,8 +3,9 @@
 The quadrature oracle integrates the ex-post utility (optionally framed)
 over the opponent's uniform type directly, so it shares no algebra with
 the closed forms it is used to check.  The grid searcher maximizes the
-closed-form expected utility by brute force, and the iteration solver
-alternates best responses until a fixed point, a cycle, or the round cap.
+framed closed-form expected utility by brute force, and the iteration
+solver alternates the two players' best responses until a fixed point
+or the round cap.
 
 The numerics are fixed: a 1e-3 search grid (``GRID_STEP``), a 1e-6
 fixed-point tolerance (``TOL``), a 200-round cap (``MAX_ROUNDS``) and a
@@ -13,14 +14,13 @@ fixed-point tolerance (``TOL``), a 200-round cap (``MAX_ROUNDS``) and a
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy.integrate import quad
 
 from . import cgt, pt
-from .errors import CycleDetected
-from .model import Scenario, StrategyProfile, realized_utility, require_two_player
+from .model import Scenario, StrategyProfile, realized_utility
 
 __all__ = [
     "GRID_STEP",
@@ -61,7 +61,6 @@ def quadrature_expected_utility(
     trimming onset and, when framed, at the reference crossing, so each
     piece is smooth except for an integrable endpoint kink.
     """
-    require_two_player(s)
     opp = 1 - player
     belief = s.belief_about(opp)
     q2max = belief.upper
@@ -108,35 +107,6 @@ def quadrature_expected_utility(
 # ---------------------------------------------------------------------------
 
 
-def _objective(
-    player: int, s: Scenario, framed: bool
-) -> tuple[Callable[[np.ndarray, float], np.ndarray], Callable[[float, float], float]]:
-    """Vector and scalar evaluators of own expected utility vs a fixed opponent."""
-    opp = 1 - player
-    q1 = s.microgrids[player].q
-    q2max = s.microgrids[opp].q_max
-    g = s.grid
-    rho, k, lc = g.rho, g.emergency_value, g.l_c
-    if framed:
-        pp = pt._require_framed(player, s)
-
-        def vec(a1, a2):
-            return pt.expected_pt_utility_grid(a1, a2, q1, q2max, rho, k, lc, pp)
-
-        def scalar(a1, a2):
-            return pt.expected_pt_utility_scalar(a1, a2, q1, q2max, rho, k, lc, pp)
-
-    else:
-
-        def vec(a1, a2):
-            return cgt.expected_utility_grid_cgt(a1, a2, q1, q2max, rho, k, lc)
-
-        def scalar(a1, a2):
-            return float(cgt.expected_utility_grid_cgt(a1, a2, q1, q2max, rho, k, lc)[0])
-
-    return vec, scalar
-
-
 def _ternary_refine(
     f: Callable[[float], float], lo: float, hi: float, width_tol: float = 1e-10
 ) -> float:
@@ -152,30 +122,27 @@ def _ternary_refine(
     return 0.5 * (lo + hi)
 
 
-def grid_best_response(
-    player: int,
-    opponent_alpha: float,
-    s: Scenario,
-    framed: bool = False,
-) -> float:
-    """Brute-force argmax of the closed-form expected utility.
+def grid_best_response(player: int, opponent_alpha: float, s: Scenario) -> float:
+    """Brute-force argmax of the framed closed-form expected utility.
 
     Ties break toward the smaller fraction.  An interior grid maximum is
     refined by ternary search inside its one-step bracket; the refined
     point is kept only if it does not score below the grid winner, so a
     non-unimodal bracket can never make the answer worse.
     """
-    require_two_player(s)
-    vec, scalar = _objective(player, s, framed)
+    pp = pt._require_framed(player, s)
+    q1, q2max, rho, k, lc = s.duel(player)
+
+    def utility(a1: float) -> float:
+        return pt.expected_pt_utility_scalar(a1, opponent_alpha, q1, q2max, rho, k, lc, pp)
+
     grid = _UNIT_GRID
-    values = vec(grid, opponent_alpha)
+    values = pt.expected_pt_utility_grid(grid, opponent_alpha, q1, q2max, rho, k, lc, pp)
     i = int(np.argmax(values))
     best_alpha = float(grid[i])
     if 0 < i < len(grid) - 1:
-        refined = _ternary_refine(
-            lambda a: scalar(a, opponent_alpha), float(grid[i - 1]), float(grid[i + 1])
-        )
-        f_ref = scalar(refined, opponent_alpha)
+        refined = _ternary_refine(utility, float(grid[i - 1]), float(grid[i + 1]))
+        f_ref = utility(refined)
         f_best = float(values[i])
         if f_ref > f_best or (f_ref == f_best and refined < best_alpha):
             best_alpha = refined
@@ -187,56 +154,35 @@ def grid_best_response(
 # ---------------------------------------------------------------------------
 
 
-def _iterate(
-    responders: Sequence[Callable[[float], float]],
-    initial: tuple[float, float],
-) -> tuple[tuple[float, float], bool, int, float]:
-    """Alternate best responses in index order until fixed point or cycle.
-
-    Returns (profile, converged, rounds, last round's max update).  A
-    period-2 repeat of the round-end profile raises ``CycleDetected``
-    with both points of the cycle.
-    """
-    current = initial
-    history = [current]
-    delta = float("inf")
-    for rounds in range(1, MAX_ROUNDS + 1):
-        a = list(current)
-        for p, respond in enumerate(responders):
-            a[p] = respond(a[1 - p])
-        nxt = (a[0], a[1])
-        delta = max(abs(nxt[0] - current[0]), abs(nxt[1] - current[1]))
-        if delta <= TOL:
-            return nxt, True, rounds, delta
-        if len(history) >= 2 and nxt == history[-2] and nxt != history[-1]:
-            raise CycleDetected(history[-1], nxt, iterations=rounds)
-        history.append(nxt)
-        current = nxt
-    return current, False, MAX_ROUNDS, delta
-
-
 def iterate_best_response(
     s: Scenario,
     initial: StrategyProfile | None = None,
 ) -> cgt.EquilibriumResult:
     """Fixed point of alternating best responses.
 
-    Players carrying prospect parameters respond with the framed grid
-    search, the others with the closed form.  Convergence means the
-    largest strategy update in a round is at most ``TOL``; after
-    ``MAX_ROUNDS`` rounds the result is reported as not converged.
+    Each round player 0 responds to player 1's fraction, then player 1
+    to player 0's new one.  Players carrying prospect parameters respond
+    with the framed grid search, the others with the closed form.
+    Convergence means the largest strategy update in a round is at most
+    ``TOL``; after ``MAX_ROUNDS`` rounds the result is reported as not
+    converged.
     """
-    require_two_player(s)
     framed = tuple(p is not None for p in s.prospect)
-    start = (1.0, 1.0) if initial is None else (initial[0], initial[1])
 
-    def responder(p: int) -> Callable[[float], float]:
+    def respond(p: int, a_opp: float) -> float:
         if framed[p]:
-            return lambda a_opp: grid_best_response(p, a_opp, s, True)
-        return lambda a_opp: cgt.best_response_cgt(p, a_opp, s)[0]
+            return grid_best_response(p, a_opp, s)
+        return cgt.best_response_cgt(p, a_opp, s)[0]
 
-    final, converged, rounds, delta = _iterate((responder(0), responder(1)), start)
-    profile = StrategyProfile.of(*final)
+    a = (1.0, 1.0) if initial is None else (initial[0], initial[1])
+    for rounds in range(1, MAX_ROUNDS + 1):
+        a1 = respond(0, a[1])
+        nxt = (a1, respond(1, a1))
+        delta = max(abs(nxt[0] - a[0]), abs(nxt[1] - a[1]))
+        a = nxt
+        if delta <= TOL:
+            break
+    profile = StrategyProfile.of(*a)
     utilities = tuple(
         pt.expected_pt_utility(p, profile, s)
         if framed[p]
@@ -248,7 +194,7 @@ def iterate_best_response(
         classification=_classify(profile, s, framed),
         conditions=(),
         expected_utilities=utilities,
-        converged=converged,
+        converged=delta <= TOL,
         iterations=rounds,
         residual=delta,
     )

@@ -161,7 +161,7 @@ class SymmetricEquilibrium(NamedTuple):
 
 
 def symmetric_framed_equilibrium(s: Scenario) -> SymmetricEquilibrium:
-    """Bisect grid_best_response(0, a, s, framed=True) - a on [0.5, 1].
+    """Bisect grid_best_response(0, a, s) - a on [0.5, 1].
 
     Both players must share one configuration, so player 2's response to
     a equals player 1's and every root is a symmetric equilibrium.  It
@@ -172,7 +172,7 @@ def symmetric_framed_equilibrium(s: Scenario) -> SymmetricEquilibrium:
         raise ValueError("players differ, so a = BR(a) is not an equilibrium")
 
     def gap(a: float) -> float:
-        return grid_best_response(0, a, s, framed=True) - a
+        return grid_best_response(0, a, s) - a
 
     lo, hi = 0.5, 1.0
     if not gap(lo) > 0.0 > gap(hi):
@@ -186,8 +186,8 @@ def symmetric_framed_equilibrium(s: Scenario) -> SymmetricEquilibrium:
     alpha = 0.5 * (lo + hi)
     h = 1e-4
     slope = (
-        grid_best_response(0, alpha + h, s, framed=True)
-        - grid_best_response(0, alpha - h, s, framed=True)
+        grid_best_response(0, alpha + h, s)
+        - grid_best_response(0, alpha - h, s)
     ) / (2.0 * h)
     return SymmetricEquilibrium(alpha, gap(alpha), slope)
 

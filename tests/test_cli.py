@@ -8,15 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from gridstore import (
-    NotTwoPlayer,
-    StrategyProfile,
-    enumerate_bne,
-    expected_pt_utility,
-    iterate_best_response,
-    scenario_from_dict,
-    violations,
-)
+from gridstore import NotTwoPlayer, scenario_from_dict
 from gridstore.cli import run
 from gridstore.solver import MAX_ROUNDS
 
@@ -104,6 +96,7 @@ def test_solve_pt_converges_on_benchmark(capsys):
         (["solve-pt"], "solve-pt"),
         # (1, 1) is the default start, so it must not change a byte.
         (["solve-pt", "--start", "1,1"], "solve-pt"),
+        (["solve-cgt"], "solve-cgt"),
     ],
 )
 def test_default_config_output_bytes_are_pinned(argv, pinned, capsys):
@@ -298,23 +291,34 @@ def test_find_price_unreachable_ceiling_is_exit_four(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_three_microgrids_validate_but_need_two_players(tmp_path, capsys):
+def test_three_microgrids_are_refused_at_load(tmp_path, capsys):
     data = json.loads(Path(CONFIG).read_text())
     data["microgrids"].append(dict(data["microgrids"][0]))
     data["prospect"].append(dict(data["prospect"][0]))
-    s = scenario_from_dict(data)
-    assert violations(s) == []
     with pytest.raises(NotTwoPlayer):
-        enumerate_bne(s)
-    with pytest.raises(NotTwoPlayer):
-        iterate_best_response(s)
-    with pytest.raises(NotTwoPlayer):
-        expected_pt_utility(0, StrategyProfile.of(1.0, 1.0, 1.0), s)
+        scenario_from_dict(data)
 
     path = tmp_path / "three.json"
     path.write_text(json.dumps(data))
-    assert run(["solve-pt", "--config", str(path)]) == 3
-    assert "need exactly 2 players" in capsys.readouterr().err
+    for command in ("validate", "enumerate", "solve-pt"):
+        assert run([command, "--config", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "need exactly 2 players" in captured.err
+
+
+@pytest.mark.parametrize("player", [0, 1])
+@pytest.mark.parametrize("command", ["enumerate", "solve-cgt"])
+def test_zero_surplus_closed_form_commands(command, player, capsys):
+    # A player without surplus has no interior best response, so only the
+    # candidates that do not need one are listed.
+    code = run([command, "--config", CONFIG, "--override", f"microgrids.{player}.q=0"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert not re.search(r"\b(inf|nan)\b", out, re.IGNORECASE), out
+    one_sided = "BNE2" if player == 0 else "BNE3"
+    assert one_sided in out
+    assert "BNE4" not in out
 
 
 @pytest.mark.parametrize("value", ["Infinity", "-Infinity", "NaN"])
@@ -342,8 +346,10 @@ _FIND_PRICE = ["find-price", "--config", CONFIG]
         (_FIND_PRICE + ["--to", "inf"], 2),
         (_FIND_PRICE + ["--reference", "nan"], 3),
         (_FIND_PRICE + ["--reference", "inf"], 3),
+        (_FIND_PRICE + ["--from", "0.5", "--to", "0.5"], 3),
         (_SWEEP + ["--from", "nan", "--to", "12", "--step", "0.5"], 2),
         (_SWEEP + ["--from", "11", "--to", "12", "--step", "nan"], 2),
+        (_SWEEP + ["--from", "11", "--to", "12", "--step", "1e-300"], 2),
         (["solve-pt", "--config", CONFIG, "--start", "nan,nan"], 2),
         (["solve-pt", "--config", CONFIG, "--start", "2,2"], 2),
         (["solve-pt", "--config", CONFIG, "--start", "0.5,-0.1"], 2),

@@ -13,12 +13,10 @@ import pytest
 
 from gridstore import (
     InvalidScenario,
-    StrategyProfile,
     SweepSpec,
     asymmetric_equilibrium,
     default_scenario,
     enumerate_bne,
-    expected_pt_utility,
     iterate_best_response,
     max_deviation_by_price,
     required_emergency_price,
@@ -28,8 +26,7 @@ from gridstore import (
     write_required_price_csv,
     write_sweep_csv,
 )
-from gridstore import experiments
-from gridstore.errors import CycleDetected, NoCoveragePrice
+from gridstore.errors import NoCoveragePrice
 
 from helpers import covering_kind
 
@@ -120,23 +117,6 @@ def test_reference_sweep_matches_direct_solve():
     direct = iterate_best_response(default_scenario(reference=12.0))
     assert (row.alpha_1, row.alpha_2) == tuple(direct.profile)
     assert row.iterations == direct.iterations
-
-
-def test_cycle_becomes_a_flagged_row(monkeypatch):
-    def cycling(scenario):
-        raise CycleDetected((0.5, 1.0), (1.0, 0.5), iterations=7)
-
-    monkeypatch.setattr(experiments, "iterate_best_response", cycling)
-    spec = SweepSpec(
-        base=default_scenario(), swept_parameter="reference_point", values=(11.5,)
-    )
-    row = sweep_reference_point(spec)[1]
-    assert (row.alpha_1, row.alpha_2) == (1.0, 0.5)
-    assert row.total_stored_kwh == pytest.approx(180.0)
-    assert (row.classification, row.converged, row.iterations) == ("Cycle", False, 7)
-    assert row.expected_utility_1 == expected_pt_utility(
-        0, StrategyProfile.of(1.0, 0.5), default_scenario()
-    )
 
 
 def test_emergency_price_sweep_rows_and_deviation():

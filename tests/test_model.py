@@ -172,7 +172,7 @@ def test_scenario_round_trip_from_json(tmp_path):
         ],
     }
     s = scenario_from_dict(data)
-    assert s.n == 2
+    assert len(s.microgrids) == 2
     assert s.prospect[0].lam == 2.25
     assert s.prospect[1] is None
 

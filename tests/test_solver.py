@@ -14,8 +14,7 @@ from gridstore import (
     iterate_best_response,
     quadrature_expected_utility,
 )
-from gridstore.errors import CycleDetected
-from gridstore.solver import MAX_ROUNDS, TOL, _iterate
+from gridstore.solver import MAX_ROUNDS, TOL
 
 from helpers import BENCH_PROSPECT, benchmark_scenario, framed_benchmark
 
@@ -44,28 +43,35 @@ def test_quadrature_neutral_framing_is_a_shift():
     assert framed == pytest.approx(plain - 3.0, rel=1e-9)
 
 
+# Neutral framing (r=0, lambda=1, beta=1) values a utility as itself, so
+# the framed grid search must find the rational closed-form response.
+NEUTRAL = ProspectParams(r=0.0, lam=1.0, beta_plus=1.0, beta_minus=1.0)
+
+
 def test_grid_best_response_refines_to_interior_optimum():
-    s = benchmark_scenario()
-    br = grid_best_response(0, 1.0, s)
+    s = benchmark_scenario(prospect=(NEUTRAL, None))
+    rational, _ = best_response_cgt(0, 1.0, s)
+    assert rational == pytest.approx(INTERIOR_BR, abs=1e-12)
     # Ternary refinement inside the winning bracket resolves far below
     # the grid step; comparison noise on the flat quadratic top caps the
     # attainable accuracy near sqrt(eps).
-    assert br == pytest.approx(INTERIOR_BR, abs=1e-6)
+    assert grid_best_response(0, 1.0, s) == pytest.approx(rational, abs=1e-6)
 
 
 def test_grid_best_response_store_all_branch():
-    s = benchmark_scenario()
-    assert grid_best_response(0, 0.5, s) == 1.0
+    s = benchmark_scenario(prospect=(NEUTRAL, None))
+    rational, _ = best_response_cgt(0, 0.5, s)
+    assert rational == 1.0
+    assert grid_best_response(0, 0.5, s) == pytest.approx(rational, abs=1e-6)
 
 
 def test_grid_best_response_neutral_framing_matches_rational():
-    neutral = ProspectParams(r=1.0, lam=1.0, beta_plus=1.0, beta_minus=1.0)
-    s = benchmark_scenario(prospect=(neutral, None))
+    s = benchmark_scenario(prospect=(NEUTRAL, None))
     for tenths in range(11):
         opp = tenths / 10.0
-        framed = grid_best_response(0, opp, s, framed=True)
-        plain = grid_best_response(0, opp, s, framed=False)
-        assert framed == pytest.approx(plain, abs=1e-6)
+        framed = grid_best_response(0, opp, s)
+        rational, _ = best_response_cgt(0, opp, s)
+        assert framed == pytest.approx(rational, abs=1e-6)
 
 
 def test_iteration_rational_players_reach_interior_equilibrium():
@@ -111,7 +117,7 @@ def test_iteration_result_is_a_fixed_point():
     p0 = replace(BENCH_PROSPECT, r=13.0)
     s = benchmark_scenario(prospect=(p0, None))
     res = iterate_best_response(s)
-    again0 = grid_best_response(0, res.profile[1], s, framed=True)
+    again0 = grid_best_response(0, res.profile[1], s)
     again1, _ = best_response_cgt(1, res.profile[0], s)
     assert abs(again0 - res.profile[0]) <= 1e-9
     assert again1 == res.profile[1]
@@ -124,17 +130,6 @@ def test_iteration_is_deterministic():
     assert tuple(a.profile) == tuple(b.profile)
     assert a.expected_utilities == b.expected_utilities
     assert a.iterations == b.iterations
-
-
-def test_iteration_reports_two_cycle():
-    # Antagonistic responders that flip between two profiles forever.
-    responders = (lambda a2: a2, lambda a1: 1.0 - a1)
-    with pytest.raises(CycleDetected) as exc_info:
-        _iterate(responders, (0.2, 0.9))
-    exc = exc_info.value
-    assert exc.first == pytest.approx((0.1, 0.9), abs=1e-12)
-    assert exc.second == pytest.approx((0.9, 0.1), abs=1e-12)
-    assert exc.iterations == 3
 
 
 def test_iteration_round_cap_reported_as_non_convergence():
