@@ -9,6 +9,7 @@ response and the four Bayesian Nash equilibrium candidates built from it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Literal
 
@@ -151,12 +152,18 @@ def _interior_coefficients(player: int, s: Scenario) -> tuple[float, float] | No
     """Interior best response written as own = intercept + slope * opponent.
 
     ``None`` for a player without surplus: it has no interior best
-    response and always stores everything.
+    response and always stores everything.  A subnormal surplus counts
+    as none, because ``q1 * k`` underflows to 0 or the coefficients
+    overflow.
     """
     q1, q2max, rho, k, lc = s.duel(player)
-    if q1 == 0.0:
+    qk = q1 * k
+    if qk == 0.0:
         return None
-    return lc / q1, (k - 2.0 * rho) * q2max / (q1 * k)
+    intercept, slope = lc / q1, (k - 2.0 * rho) * q2max / qk
+    if not (math.isfinite(intercept) and math.isfinite(slope)):
+        return None
+    return intercept, slope
 
 
 def _conditions(classification: str, profile: tuple[float, float], s: Scenario) -> tuple[str, ...]:
@@ -203,7 +210,10 @@ def bne_candidates(s: Scenario) -> list[tuple[str, StrategyProfile, tuple[str, .
     Each entry is ``(label, profile, conditions)``: the candidate's label
     (BNE1..BNE4), its unverified profile, and the labels of the
     sufficient existence conditions it satisfies.  Candidates that need
-    the interior best response of a player without surplus are left out.
+    the interior best response of a player without surplus are left out,
+    and so are candidates whose arithmetic overflows (a surplus near the
+    bottom of the float range): an infinite or NaN fraction is no
+    equilibrium.
     """
     one = _interior_coefficients(0, s)
     two = _interior_coefficients(1, s)
@@ -222,6 +232,7 @@ def bne_candidates(s: Scenario) -> list[tuple[str, StrategyProfile, tuple[str, .
     return [
         (label, StrategyProfile.of(*cand), _conditions(label, cand, s))
         for label, cand in candidates
+        if all(math.isfinite(a) for a in cand)
     ]
 
 

@@ -10,7 +10,7 @@ files.
 Exit codes: 0 success, 2 unreadable config or bad flag values, 3
 scenario validation failure (including a config without exactly two
 microgrids), 4 solver non-convergence (including an unreachable coverage
-price).
+price) or a utility that overflows floating point.
 """
 
 from __future__ import annotations
@@ -20,6 +20,8 @@ import json
 import math
 import sys
 from typing import Sequence
+
+import numpy as np
 
 from .cgt import bne_candidates, enumerate_bne, verify_bne
 from .errors import (
@@ -330,7 +332,10 @@ def run(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.handler(args)
+        # A finite config can still drive a utility past the float range;
+        # raising on overflow keeps inf and nan out of printed results.
+        with np.errstate(over="raise", invalid="raise"):
+            return args.handler(args)
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -342,6 +347,9 @@ def run(argv: Sequence[str] | None = None) -> int:
         return 3
     except NoCoveragePrice as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 4
+    except (OverflowError, FloatingPointError) as exc:
+        print(f"error: utility overflows floating point: {exc}", file=sys.stderr)
         return 4
 
 

@@ -2,10 +2,11 @@
 
 The quadrature oracle integrates the ex-post utility (optionally framed)
 over the opponent's uniform type directly, so it shares no algebra with
-the closed forms it is used to check.  The grid searcher maximizes the
-framed closed-form expected utility by brute force, and the iteration
-solver alternates the two players' best responses until a fixed point
-or the round cap.
+the closed forms it is used to check.  Only tests and the benchmark call
+it, so it imports ``scipy.integrate`` on its first call rather than with
+this module.  The grid searcher maximizes the framed closed-form
+expected utility by brute force, and the iteration solver alternates
+the two players' best responses until a fixed point or the round cap.
 
 The numerics are fixed: a 1e-3 search grid (``GRID_STEP``), a 1e-6
 fixed-point tolerance (``TOL``), a 200-round cap (``MAX_ROUNDS``) and a
@@ -17,7 +18,6 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import cgt, pt
 from .model import Scenario, StrategyProfile, realized_utility
@@ -61,6 +61,9 @@ def quadrature_expected_utility(
     trimming onset and, when framed, at the reference crossing, so each
     piece is smooth except for an integrable endpoint kink.
     """
+    # Deferred so that importing the package does not load scipy.
+    from scipy.integrate import quad
+
     opp = 1 - player
     belief = s.belief_about(opp)
     q2max = belief.upper

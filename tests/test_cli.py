@@ -331,6 +331,70 @@ def test_non_finite_config_value_is_rejected(path, value, capsys):
     assert code in (2, 3), f"exit {code}:\n{out}"
 
 
+@pytest.mark.parametrize("player", [0, 1])
+@pytest.mark.parametrize("command", ["enumerate", "solve-cgt"])
+@pytest.mark.parametrize("tiny, theta", [("5e-324", None), ("5e-324", "1"), ("1.2e-306", "1")])
+def test_tiny_surplus_lists_what_zero_surplus_lists(tiny, theta, command, player, capsys):
+    # At 5e-324, q * theta * rho_c underflows to 0 at the default theta and
+    # lc / q overflows at theta = 1, so the player counts as having no
+    # surplus.  At 1.2e-306 and theta = 1 the coefficients are finite but
+    # the candidates built from them overflow, and are left out.
+    def rows(q: str) -> tuple[int, list[list[str]]]:
+        argv = [command, "--config", CONFIG, "--override", f"microgrids.{player}.q={q}"]
+        if theta is not None:
+            argv += ["--override", f"grid.theta={theta}"]
+        code = run(argv)
+        out = capsys.readouterr().out
+        assert not re.search(r"\b(inf|nan)\b", out, re.IGNORECASE), out
+        # Label and profile columns; solve-cgt's utilities differ from
+        # those at zero surplus in the last place.
+        return code, [line.split()[:3] for line in out.splitlines()[1:]]
+
+    code, listed = rows(tiny)
+    assert (code, listed) == rows("0")
+    assert code == 0
+    labels = [row[0] for row in listed]
+    one_sided = "BNE2" if player == 0 else "BNE3"
+    if command == "enumerate":
+        assert labels == ["BNE1", one_sided]
+    else:
+        assert labels == ([one_sided] if theta is None else ["BNE1"])
+
+
+# Boundary values for every numeric config leaf, written as override
+# text: zeros, the smallest subnormal, values near the float range
+# limits, non-finite values and wrong JSON types.
+BOUNDARY_VALUES = (
+    "0",
+    "-0.0",
+    "5e-324",
+    "1e-300",
+    "1e300",
+    "-1e300",
+    "1.7976931348623157e308",
+    "-1.7976931348623157e308",
+    "Infinity",
+    "-Infinity",
+    "NaN",
+    '"x"',
+    "null",
+    "[]",
+    "true",
+    "-1",
+)
+
+
+@pytest.mark.parametrize("command", ["validate", "enumerate", "solve-cgt", "solve-pt"])
+@pytest.mark.parametrize("value", BOUNDARY_VALUES)
+@pytest.mark.parametrize("path", CONFIG_LEAVES)
+def test_boundary_config_value_has_a_documented_exit(path, value, command, capsys):
+    code = run([command, "--config", CONFIG, "--override", f"{path}={value}"])
+    out = capsys.readouterr().out
+    assert code in (0, 2, 3, 4), f"exit {code}:\n{out}"
+    if code == 0:
+        assert not re.search(r"\b(inf|nan)\b", out, re.IGNORECASE), out
+
+
 _SWEEP = ["sweep", "--config", CONFIG, "--param", "reference-point"]
 _FIND_PRICE = ["find-price", "--config", CONFIG]
 
@@ -353,11 +417,15 @@ _FIND_PRICE = ["find-price", "--config", CONFIG]
         (["solve-pt", "--config", CONFIG, "--start", "nan,nan"], 2),
         (["solve-pt", "--config", CONFIG, "--start", "2,2"], 2),
         (["solve-pt", "--config", CONFIG, "--start", "0.5,-0.1"], 2),
+        # Finite values that pass validation but overflow a utility.
+        (["solve-pt", "--config", CONFIG, "--override", "grid.rho_c=1e300"], 4),
+        (["solve-pt", "--config", CONFIG, "--override", "prospect.1.r=-1e300"], 4),
+        (["solve-cgt", "--config", CONFIG, "--override", "grid.rho_c=1.7976931348623157e308"], 4),
     ],
     ids=lambda v: " ".join(v[3:]) if isinstance(v, list) else None,
 )
 def test_bad_flag_value_is_a_one_line_error(argv, expected, tmp_path, capsys):
-    if argv[0] != "solve-pt":
+    if argv[0] in ("sweep", "find-price"):
         argv = argv + ["--out", str(tmp_path / "x.csv")]
     assert run(argv) == expected
     captured = capsys.readouterr()

@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import gridstore
 from gridstore import (
     ProspectParams,
     StrategyProfile,
@@ -18,6 +25,7 @@ from gridstore.solver import MAX_ROUNDS, TOL
 
 from helpers import BENCH_PROSPECT, benchmark_scenario, framed_benchmark
 
+CONFIG = str(Path(__file__).resolve().parent.parent / "configs" / "defaults.json")
 INTERIOR_BR = 0.7614942528735631
 BNE4_ALPHA = 0.8748114630467568
 
@@ -32,6 +40,34 @@ def test_quadrature_contested_matches_closed_form_value():
     s = benchmark_scenario()
     u = quadrature_expected_utility(0, StrategyProfile.of(INTERIOR_BR, 1.0), s)
     assert u == pytest.approx(13.13103448275844, rel=1e-9)
+
+
+def test_package_and_cli_load_no_scipy_until_the_oracle_runs():
+    # A fresh interpreter, so modules other tests imported do not count.
+    src = Path(gridstore.__file__).resolve().parent.parent
+    script = textwrap.dedent(
+        f"""
+        import contextlib, io, json, sys
+        import gridstore, gridstore.cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = gridstore.cli.run(["validate", "--config", {CONFIG!r}])
+        loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+        s = gridstore.load_scenario({CONFIG!r})
+        profile = gridstore.StrategyProfile.of({INTERIOR_BR!r}, 1.0)
+        u = gridstore.quadrature_expected_utility(0, profile, s)
+        print(json.dumps({{"code": code, "loaded": loaded, "u": u}}))
+        """
+    )
+    path = [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["code"] == 0
+    assert report["loaded"] == []
+    assert report["u"] == pytest.approx(13.13103448275844, rel=1e-9)
 
 
 def test_quadrature_neutral_framing_is_a_shift():
