@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 from typing import Literal
 
-import numpy as np
-
 from .model import Scenario, StrategyProfile
 
 __all__ = [
@@ -61,49 +59,31 @@ class EquilibriumResult:
     residual: float = 0.0
 
 
-def expected_utility_grid_cgt(
-    own_alpha: np.ndarray | float,
-    opp_alpha: float,
-    q1: float,
-    q2max: float,
-    rho: float,
-    k: float,
-    lc: float,
-) -> np.ndarray:
-    """Expected utility over a vector of own storage fractions.
-
-    ``k`` is the expected emergency value theta*rho_c.  Vectorized in the
-    own fraction only; the opponent's fraction is a fixed scalar.
-    """
-    a1 = np.atleast_1d(np.asarray(own_alpha, dtype=float))
-    out = rho * q1 * (1.0 - a1) + k * q1 * a1
-    if opp_alpha > 0.0:
-        # Contested only when the largest opponent surplus can push the
-        # pair past the critical load; ties stay uncontested.
-        contested = a1 * q1 + opp_alpha * q2max > lc
-        if np.any(contested):
-            ac = a1[contested]
-            split = (lc - ac * q1) / opp_alpha
-            trimmed = (
-                k * ac * q1 * split
-                + 0.5
-                * k
-                * (
-                    (ac * q1 + lc) * (q2max - split)
-                    - 0.5 * opp_alpha * (q2max**2 - split**2)
-                )
-            ) / q2max
-            out[contested] = rho * q1 * (1.0 - ac) + trimmed
-    return out
-
-
 def expected_utility_cgt(player: int, profile: StrategyProfile, s: Scenario) -> float:
-    """Expected utility of a rational player against a uniform opponent type."""
+    """Expected utility of a rational player against a uniform opponent type.
+
+    ``k`` is the expected emergency value theta*rho_c.  Opponent
+    surpluses beyond ``split`` push the pair past the critical load and
+    trim the purchase.
+    """
     q1, q2max, rho, k, lc = s.duel(player)
-    a = profile
-    return float(
-        expected_utility_grid_cgt(a[player], a[1 - player], q1, q2max, rho, k, lc)[0]
-    )
+    a1, a2 = profile[player], profile[1 - player]
+    kept = rho * q1 * (1.0 - a1)
+    # Contested only when the largest opponent surplus can push the
+    # pair past the critical load; ties stay uncontested.
+    if a2 > 0.0 and a1 * q1 + a2 * q2max > lc:
+        split = (lc - a1 * q1) / a2
+        trimmed = (
+            k * a1 * q1 * split
+            + 0.5
+            * k
+            * (
+                (a1 * q1 + lc) * (q2max - split)
+                - 0.5 * a2 * (q2max**2 - split * split)
+            )
+        ) / q2max
+        return kept + trimmed
+    return kept + k * q1 * a1
 
 
 def _snap_unit(x: float) -> float:

@@ -10,7 +10,12 @@ files.
 Exit codes: 0 success, 2 unreadable config or bad flag values, 3
 scenario validation failure (including a config without exactly two
 microgrids), 4 solver non-convergence (including an unreachable coverage
-price) or a utility that overflows floating point.
+price) or a result that overflows floating point: every number a
+command prints or writes is checked to be finite first (``enumerate``'s
+candidates are finite by construction).
+
+Only ``solve-pt``, ``sweep`` and ``find-price`` import the framed solver,
+and with it NumPy; the other commands run on plain floats.
 """
 
 from __future__ import annotations
@@ -21,8 +26,6 @@ import math
 import sys
 from typing import Sequence
 
-import numpy as np
-
 from .cgt import bne_candidates, enumerate_bne, verify_bne
 from .errors import (
     DegenerateOpponentStrategy,
@@ -30,16 +33,9 @@ from .errors import (
     MissingProspectParams,
     NoCoveragePrice,
     NotTwoPlayer,
-)
-from .experiments import (
-    SweepSpec,
-    required_emergency_price,
-    run_sweep,
-    write_required_price_csv,
-    write_sweep_csv,
+    require_finite,
 )
 from .model import Scenario, StrategyProfile, scenario_from_dict, scenario_checks, validate_scenario
-from .solver import MAX_ROUNDS, iterate_best_response
 
 __all__ = ["run", "main"]
 
@@ -146,6 +142,7 @@ _CGT_HEADER = (
 def _cmd_solve_cgt(args: argparse.Namespace) -> int:
     s = validate_scenario(_scenario_from_args(args))
     results = enumerate_bne(s)
+    require_finite(*(x for res in results for x in (*res.profile, *res.expected_utilities)))
     if not results:
         print("no closed-form equilibrium verified")
         return 0
@@ -180,6 +177,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve_pt(args: argparse.Namespace) -> int:
+    from .solver import MAX_ROUNDS, iterate_best_response
+
     s = validate_scenario(_scenario_from_args(args))
     initial = None
     if args.start is not None:
@@ -191,6 +190,7 @@ def _cmd_solve_pt(args: argparse.Namespace) -> int:
             raise _CliError("--start fractions must lie in [0, 1]")
         initial = StrategyProfile.of(a1, a2)
     res = iterate_best_response(s, initial=initial)
+    require_finite(*res.profile, res.residual, *res.expected_utilities)
     print(f"{'alpha_1':<18} {res.profile[0]:.6f}")
     print(f"{'alpha_2':<18} {res.profile[1]:.6f}")
     print(f"{'classification':<18} {res.classification}")
@@ -209,6 +209,8 @@ def _cmd_solve_pt(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from .experiments import SweepSpec, run_sweep, write_sweep_csv
+
     s = validate_scenario(_scenario_from_args(args))
     kind = _SWEEP_PARAMS[args.param]
     grid = _inclusive_grid(args.from_, args.to, args.step)
@@ -239,6 +241,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_find_price(args: argparse.Namespace) -> int:
+    from .experiments import required_emergency_price, write_required_price_csv
+
     s = _scenario_from_args(args)
     lams = _inclusive_grid(args.from_, args.to, args.step)
     try:
@@ -332,10 +336,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        # A finite config can still drive a utility past the float range;
-        # raising on overflow keeps inf and nan out of printed results.
-        with np.errstate(over="raise", invalid="raise"):
-            return args.handler(args)
+        return args.handler(args)
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -349,7 +350,8 @@ def run(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 4
     except (OverflowError, FloatingPointError) as exc:
-        print(f"error: utility overflows floating point: {exc}", file=sys.stderr)
+        # A finite config can still drive a result past the float range.
+        print(f"error: result overflows floating point: {exc}", file=sys.stderr)
         return 4
 
 

@@ -1,6 +1,8 @@
-"""Exception types raised across the package."""
+"""Exception types raised across the package, and the finiteness rule for results."""
 
 from __future__ import annotations
+
+import math
 
 
 class GridStoreError(Exception):
@@ -31,6 +33,10 @@ class DegenerateOpponentStrategy(GridStoreError):
 class MissingProspectParams(GridStoreError):
     """A framed evaluation was requested for a player without prospect parameters."""
 
+    def __init__(self, player: int):
+        self.player = player
+        super().__init__(f"player {player} has no prospect parameters")
+
 
 class NoCoveragePrice(GridStoreError):
     """No emergency price up to the search ceiling covers the critical load."""
@@ -42,3 +48,15 @@ class NoCoveragePrice(GridStoreError):
             f"total stored never reaches the critical load for loss aversion "
             f"{lam:g} with emergency price up to {price_hi:g}"
         )
+
+
+def require_finite(*values: float) -> None:
+    """Raise ``FloatingPointError`` unless every value is finite.
+
+    The CLI and the CSV writers call it on the results they print or
+    write, so an overflow anywhere upstream ends the command instead of
+    reaching the output as inf or NaN.
+    """
+    for x in values:
+        if not math.isfinite(x):
+            raise FloatingPointError(f"{x!r} is not a finite number")

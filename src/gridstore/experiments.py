@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .cgt import EquilibriumResult, enumerate_bne
-from .errors import GridStoreError, MissingProspectParams, NoCoveragePrice
+from .errors import GridStoreError, MissingProspectParams, NoCoveragePrice, require_finite
 from .model import (
     GridParams,
     MicrogridConfig,
@@ -466,12 +466,15 @@ def _fmt(x) -> str:
 
 
 def _write_csv(rows: Iterable[SweepRow], path: str | Path, header: tuple[str, ...]) -> Path:
+    # Checked before the file is opened, so a non-finite result leaves
+    # no partial CSV behind.
+    table = [[getattr(row, column) for column in header] for row in rows]
+    require_finite(*(x for line in table for x in line if isinstance(x, float)))
     path = Path(path)
     with path.open("w", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(getattr(row, column)) for column in header])
+        writer.writerows([_fmt(x) for x in line] for line in table)
     return path
 
 

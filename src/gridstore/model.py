@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-import numpy as np
-
 from .errors import InvalidScenario, NotTwoPlayer
 
 __all__ = [
@@ -330,24 +328,24 @@ def _alphas(profile) -> tuple[float, ...]:
 
 def purchased_energy(
     profile: StrategyProfile, surpluses: Sequence[float], grid: GridParams
-) -> np.ndarray:
+) -> tuple[float, ...]:
     """Energy the utility buys back from each player in an emergency.
 
     If total stored energy fits under the critical load everyone sells
     all of their stored energy; otherwise each purchase is reduced by an
     equal 1/N share of the excess and floored at zero.
     """
-    alpha = np.asarray(_alphas(profile), dtype=float)
-    q = np.asarray(surpluses, dtype=float)
-    if alpha.shape != q.shape:
+    alpha = _alphas(profile)
+    if len(alpha) != len(surpluses):
         raise ValueError(
-            f"profile has {alpha.size} entries but {q.size} surpluses given"
+            f"profile has {len(alpha)} entries but {len(surpluses)} surpluses given"
         )
-    stored = alpha * q
-    total = stored.sum()
+    stored = tuple(a * float(q) for a, q in zip(alpha, surpluses))
+    total = sum(stored)
     if total <= grid.l_c:
         return stored
-    return np.maximum(stored - (total - grid.l_c) / len(alpha), 0.0)
+    cut = (total - grid.l_c) / len(alpha)
+    return tuple(max(x - cut, 0.0) for x in stored)
 
 
 def realized_utility(
@@ -360,5 +358,5 @@ def realized_utility(
     alpha = _alphas(profile)
     q = float(surpluses[player])
     sold = grid.rho * q * (1.0 - alpha[player])
-    bought = float(purchased_energy(profile, surpluses, grid)[player])
+    bought = purchased_energy(profile, surpluses, grid)[player]
     return sold + grid.theta * grid.rho_c * bought

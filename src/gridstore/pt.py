@@ -78,7 +78,7 @@ class PtBranchTerms:
 def _require_framed(player: int, s: Scenario) -> ProspectParams:
     p = s.prospect[player]
     if p is None:
-        raise MissingProspectParams(f"player {player} has no prospect parameters")
+        raise MissingProspectParams(player)
     return p
 
 

@@ -75,21 +75,25 @@ def quadrature_expected_utility(
     surpluses = [0.0, 0.0]
     surpluses[player] = q_own
 
-    def integrand(q2: float) -> float:
+    def utility(q2: float) -> float:
         surpluses[opp] = q2
-        u = realized_utility(player, profile, surpluses, grid)
+        return realized_utility(player, profile, surpluses, grid)
+
+    def integrand(q2: float) -> float:
+        u = utility(q2)
         v = pt.pt_value(u, pp) if pp is not None else u
         return v * belief.density(q2)
 
     cuts = {0.0, q2max}
-    if a_opp > 0.0:
-        split = (grid.l_c - a_own * q_own) / a_opp
-        if 0.0 < split < q2max:
-            cuts.add(split)
+    split = (grid.l_c - a_own * q_own) / a_opp if a_opp > 0.0 else q2max
+    if 0.0 < split < q2max:
+        cuts.add(split)
         if pp is not None:
-            terms = pt.pt_branch_terms(player, profile, s)
-            if 0.0 < terms.q2r < q2max:
-                cuts.add(terms.q2r)
+            # Past the split the ex-post utility falls linearly in the
+            # opponent surplus, so its reference crossing is one secant step.
+            u_split, u_max = utility(split), utility(q2max)
+            if u_max < pp.r < u_split:
+                cuts.add(split + (u_split - pp.r) / (u_split - u_max) * (q2max - split))
     points = sorted(cuts)
     total = 0.0
     for lo, hi in zip(points[:-1], points[1:]):
@@ -157,6 +161,9 @@ def grid_best_response(player: int, opponent_alpha: float, s: Scenario) -> float
 # ---------------------------------------------------------------------------
 
 
+# An overflow in the framed closed form raises FloatingPointError rather
+# than steering the grid argmax with inf or NaN.
+@np.errstate(over="raise", invalid="raise")
 def iterate_best_response(
     s: Scenario,
     initial: StrategyProfile | None = None,

@@ -6,6 +6,8 @@ import random
 from dataclasses import replace
 from typing import NamedTuple
 
+import numpy as np
+
 from gridstore.model import (
     GridParams,
     MicrogridConfig,
@@ -75,6 +77,45 @@ def random_scenario(rng: random.Random, framed: bool = False) -> Scenario:
         ),
         prospect=prospect,
     )
+
+
+def expected_utility_grid_cgt(
+    own_alpha: np.ndarray | float,
+    opp_alpha: float,
+    q1: float,
+    q2max: float,
+    rho: float,
+    k: float,
+    lc: float,
+) -> np.ndarray:
+    """Rational expected utility over a vector of own storage fractions.
+
+    The dense-grid reference for the closed-form best response: one
+    NumPy pass over a whole grid, agreeing bit for bit with the
+    package's plain-float ``expected_utility_cgt`` at every point.
+    ``k`` is the expected emergency value theta*rho_c.  Vectorized in the
+    own fraction only; the opponent's fraction is a fixed scalar.
+    """
+    a1 = np.atleast_1d(np.asarray(own_alpha, dtype=float))
+    out = rho * q1 * (1.0 - a1) + k * q1 * a1
+    if opp_alpha > 0.0:
+        # Contested only when the largest opponent surplus can push the
+        # pair past the critical load; ties stay uncontested.
+        contested = a1 * q1 + opp_alpha * q2max > lc
+        if np.any(contested):
+            ac = a1[contested]
+            split = (lc - ac * q1) / opp_alpha
+            trimmed = (
+                k * ac * q1 * split
+                + 0.5
+                * k
+                * (
+                    (ac * q1 + lc) * (q2max - split)
+                    - 0.5 * opp_alpha * (q2max**2 - split**2)
+                )
+            ) / q2max
+            out[contested] = rho * q1 * (1.0 - ac) + trimmed
+    return out
 
 
 def random_profile(rng: random.Random) -> StrategyProfile:

@@ -36,10 +36,10 @@ from gridstore import (
     sweep_reference_point,
     verify_bne,
 )
-from gridstore.cgt import expected_utility_grid_cgt
 
 from helpers import (
     covering_kind,
+    expected_utility_grid_cgt,
     framed_region_draw,
     interior_case_draw,
     random_profile,

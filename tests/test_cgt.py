@@ -23,9 +23,14 @@ from gridstore import (
     expected_utility_cgt,
     verify_bne,
 )
-from gridstore.cgt import expected_utility_grid_cgt
 
-from helpers import benchmark_scenario, interior_case_draw, random_scenario
+from helpers import (
+    benchmark_scenario,
+    contested_profile,
+    expected_utility_grid_cgt,
+    interior_case_draw,
+    random_scenario,
+)
 
 BNE4_ALPHA = 0.8748114630467568
 BNE4_UTILITY = 13.390045248868779
@@ -180,6 +185,28 @@ def test_best_response_beats_dense_grid(seed, opp):
     assert abs(br - best) <= 1.0 / 20_000 + 1e-12
     u_br = expected_utility_cgt(0, StrategyProfile.of(br, opp), s)
     assert u_br >= float(np.max(values)) - 1e-9 * max(1.0, abs(u_br))
+
+
+def test_plain_float_utility_matches_vector_reference_bit_for_bit():
+    # The sweep baseline rows and the CLI print this utility, so the
+    # plain-float form must reproduce the vector one exactly, contested
+    # profiles included.
+    rng = random.Random(1109)
+    contested = 0
+    for _ in range(3_000):
+        s = random_scenario(rng)
+        profile = contested_profile(rng, s)
+        if profile is None:
+            profile = StrategyProfile.of(rng.random(), rng.random())
+        else:
+            contested += 1
+        for p in (0, 1):
+            q1, q2max = s.surpluses[p], s.microgrids[1 - p].q_max
+            reference = expected_utility_grid_cgt(
+                profile[p], profile[1 - p], q1, q2max, *s.duel(p)[2:]
+            )
+            assert expected_utility_cgt(p, profile, s) == float(reference[0])
+    assert contested >= 500
 
 
 @given(st.integers(min_value=0, max_value=10_000))

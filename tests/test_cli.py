@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gridstore import NotTwoPlayer, scenario_from_dict
 from gridstore.cli import run
@@ -395,8 +398,82 @@ def test_boundary_config_value_has_a_documented_exit(path, value, command, capsy
         assert not re.search(r"\b(inf|nan)\b", out, re.IGNORECASE), out
 
 
+# Positive boundary values in increasing order ("true" reads as 1.0), and
+# every finite one.
+_LADDER = ("5e-324", "1e-300", "true", "1e300", "1.7976931348623157e308")
+_FINITE = tuple(
+    v for v in BOUNDARY_VALUES if v not in ("Infinity", "-Infinity", "NaN", '"x"', "null", "[]")
+)
+
+
+@st.composite
+def _valid_boundary_config(draw) -> tuple[str, ...]:
+    """Every leaf a boundary value, picked so that validation passes.
+
+    Ladder indices keep rho < rho_c (theta is 1), q <= q_max < l_c,
+    lambda >= 1 and each beta in (0, 1].
+    """
+
+    def rung(lo: int, hi: int) -> int:
+        # Listed from the top, so the draws lean toward the large values
+        # where products overflow.
+        return draw(st.sampled_from(range(hi, lo - 1, -1)))
+
+    rho_c, l_c = rung(1, 4), rung(1, 4)
+    values = {
+        "grid.rho": _LADDER[rung(0, rho_c - 1)],
+        "grid.rho_c": _LADDER[rho_c],
+        "grid.theta": "true",
+        "grid.l_c": _LADDER[l_c],
+    }
+    for i in (0, 1):
+        q_max = rung(0, l_c - 1)
+        values[f"microgrids.{i}.q_max"] = _LADDER[q_max]
+        values[f"microgrids.{i}.q"] = draw(st.sampled_from(_LADDER[q_max::-1] + ("0", "-0.0")))
+        values[f"prospect.{i}.r"] = draw(st.sampled_from(_FINITE))
+        values[f"prospect.{i}.lambda"] = draw(st.sampled_from(_LADDER[2:]))
+        values[f"prospect.{i}.beta_plus"] = draw(st.sampled_from(_LADDER[:3]))
+        values[f"prospect.{i}.beta_minus"] = draw(st.sampled_from(_LADDER[:3]))
+    return tuple(values[path] for path in CONFIG_LEAVES)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    values=st.one_of(
+        # Any boundary value at every leaf mostly stops at validation, so
+        # half the draws are valid configs where the extremes meet in the
+        # solvers.
+        st.tuples(*(st.sampled_from(BOUNDARY_VALUES) for _ in CONFIG_LEAVES)),
+        _valid_boundary_config(),
+    ),
+)
+def test_boundary_whole_config_has_a_documented_exit(values):
+    overrides = [f"--override={path}={value}" for path, value in zip(CONFIG_LEAVES, values)]
+    for command in ("validate", "enumerate", "solve-cgt", "solve-pt"):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = run([command, "--config", CONFIG] + overrides)
+        assert code in (0, 2, 3, 4), f"{command} exit {code}:\n{out.getvalue()}"
+        if code == 0:
+            assert not re.search(r"\b(inf|nan)\b", out.getvalue(), re.IGNORECASE), out.getvalue()
+
+
 _SWEEP = ["sweep", "--config", CONFIG, "--param", "reference-point"]
 _FIND_PRICE = ["find-price", "--config", CONFIG]
+# Seven leaves at once, sized so that the rational utility overflows in
+# plain float arithmetic, where no NumPy error state can see it.
+_HUGE = [
+    f"--override={path}={value}"
+    for path, value in (
+        ("grid.l_c", "1e300"),
+        ("microgrids.0.q", "1e299"),
+        ("microgrids.0.q_max", "1e299"),
+        ("microgrids.1.q", "1e299"),
+        ("microgrids.1.q_max", "1e299"),
+        ("grid.rho_c", "1e300"),
+        ("grid.theta", "1"),
+    )
+]
 
 
 @pytest.mark.parametrize(
@@ -421,6 +498,7 @@ _FIND_PRICE = ["find-price", "--config", CONFIG]
         (["solve-pt", "--config", CONFIG, "--override", "grid.rho_c=1e300"], 4),
         (["solve-pt", "--config", CONFIG, "--override", "prospect.1.r=-1e300"], 4),
         (["solve-cgt", "--config", CONFIG, "--override", "grid.rho_c=1.7976931348623157e308"], 4),
+        (["solve-cgt", "--config", CONFIG] + _HUGE, 4),
     ],
     ids=lambda v: " ".join(v[3:]) if isinstance(v, list) else None,
 )
@@ -433,3 +511,26 @@ def test_bad_flag_value_is_a_one_line_error(argv, expected, tmp_path, capsys):
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, player",
+    [
+        (_SWEEP + ["--from", "11", "--to", "12", "--step", "0.5", "--override", "prospect.0=null"], 0),
+        (_SWEEP + ["--from", "11", "--to", "12", "--step", "0.5", "--override", "prospect.1=null"], 1),
+        (
+            ["sweep", "--config", CONFIG, "--param", "emergency-price", "--values", "11.6"]
+            + ["--from", "11", "--to", "12", "--step", "0.5", "--override", "prospect.1=null"],
+            1,
+        ),
+        (_FIND_PRICE + ["--override", "prospect.0=null", "--override", "prospect.1=null"], 0),
+    ],
+    ids=["sweep-p0", "sweep-p1", "price-sweep-p1", "find-price-both"],
+)
+def test_missing_prospect_params_name_the_player(argv, player, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert run(argv + ["--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: player {player} has no prospect parameters\n"
+    assert not out.exists()

@@ -42,20 +42,56 @@ def test_quadrature_contested_matches_closed_form_value():
     assert u == pytest.approx(13.13103448275844, rel=1e-9)
 
 
+# Every name ``gridstore`` exports; the lazy loader must keep this set.
+EXPORTS = {
+    "Belief", "BestResponseCase", "DegenerateOpponentStrategy", "EmergencyPriceRow",
+    "EquilibriumResult", "GridParams", "GridStoreError", "InvalidScenario",
+    "MicrogridConfig", "MissingProspectParams", "NoCoveragePrice", "NotTwoPlayer",
+    "ProspectParams", "PtBranchTerms", "RequiredPriceRow", "Scenario", "StrategyProfile",
+    "SweepRow", "SweepSpec", "asymmetric_equilibrium", "best_response_cgt",
+    "bne_candidates", "default_scenario", "enumerate_bne", "expected_pt_utility",
+    "expected_utility_cgt", "grid_best_response", "iterate_best_response",
+    "load_scenario", "max_deviation_by_price", "pt_branch_terms", "pt_value",
+    "purchased_energy", "quadrature_expected_utility", "realized_utility",
+    "required_emergency_price", "run_sweep", "scenario_from_dict",
+    "sweep_emergency_price", "sweep_reference_point", "validate_scenario", "verify_bne",
+    "violations", "write_required_price_csv", "write_sweep_csv",
+}
+
+
 def test_package_and_cli_load_no_scipy_until_the_oracle_runs():
     # A fresh interpreter, so modules other tests imported do not count.
+    # The rational commands must load neither NumPy nor SciPy; resolving
+    # every export afterwards loads the framed solver, still without SciPy.
     src = Path(gridstore.__file__).resolve().parent.parent
     script = textwrap.dedent(
         f"""
         import contextlib, io, json, sys
         import gridstore, gridstore.cli
+
+        def heavy():
+            return sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy"))
+
         with contextlib.redirect_stdout(io.StringIO()):
-            code = gridstore.cli.run(["validate", "--config", {CONFIG!r}])
-        loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+            codes = [
+                gridstore.cli.run([command, "--config", {CONFIG!r}])
+                for command in ("validate", "enumerate", "solve-cgt")
+            ]
+        rational = heavy()
+        unresolved = [name for name in gridstore.__all__ if not hasattr(gridstore, name)]
+        try:
+            gridstore.no_such_export
+            unknown = "resolved"
+        except AttributeError:
+            unknown = "AttributeError"
+        scipy_before_oracle = [m for m in heavy() if m.split(".")[0] == "scipy"]
         s = gridstore.load_scenario({CONFIG!r})
         profile = gridstore.StrategyProfile.of({INTERIOR_BR!r}, 1.0)
         u = gridstore.quadrature_expected_utility(0, profile, s)
-        print(json.dumps({{"code": code, "loaded": loaded, "u": u}}))
+        print(json.dumps(dict(
+            codes=codes, rational=rational, names=gridstore.__all__, unresolved=unresolved,
+            unknown=unknown, scipy_before_oracle=scipy_before_oracle, u=u,
+        )))
         """
     )
     path = [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
@@ -65,8 +101,12 @@ def test_package_and_cli_load_no_scipy_until_the_oracle_runs():
     )
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
-    assert report["code"] == 0
-    assert report["loaded"] == []
+    assert report["codes"] == [0, 0, 0]
+    assert report["rational"] == []
+    assert set(report["names"]) == EXPORTS
+    assert report["unresolved"] == []
+    assert report["unknown"] == "AttributeError"
+    assert report["scipy_before_oracle"] == []
     assert report["u"] == pytest.approx(13.13103448275844, rel=1e-9)
 
 
