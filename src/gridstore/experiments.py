@@ -132,7 +132,7 @@ def _require_increasing(name: str, values: tuple[float, ...]) -> None:
         raise ValueError(f"{name} must be strictly increasing")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SweepRow:
     """One solved scenario, flattened to the canonical CSV columns."""
 
@@ -148,7 +148,7 @@ class SweepRow:
     iterations: int
 
 
-@dataclass(frozen=True, kw_only=True)
+@dataclass(frozen=True, kw_only=True, slots=True)
 class EmergencyPriceRow(SweepRow):
     """Stored total at one (emergency price, reference point) pair.
 
@@ -165,7 +165,7 @@ class EmergencyPriceRow(SweepRow):
         return self.value
 
 
-@dataclass(frozen=True, kw_only=True)
+@dataclass(frozen=True, kw_only=True, slots=True)
 class RequiredPriceRow(SweepRow):
     """Minimal covering emergency price for one loss-aversion level.
 
@@ -269,6 +269,7 @@ def sweep_emergency_price(spec: SweepSpec) -> list[EmergencyPriceRow]:
 
     rows = []
     for rho_c in spec.values:
+        label = f"emergency_price:rho_c={rho_c:g}"
         # Deviation is measured against this price's total at the first
         # (smallest) reference point.
         anchor = None
@@ -281,7 +282,7 @@ def sweep_emergency_price(spec: SweepSpec) -> list[EmergencyPriceRow]:
             pct = 100.0 * (total - anchor) / anchor if anchor else math.nan
             rows.append(
                 _row(
-                    f"emergency_price:rho_c={rho_c:g}",
+                    label,
                     r,
                     scenario,
                     res,

@@ -11,6 +11,7 @@ surplus pushes the realized utility through the reference point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Literal
 
@@ -212,6 +213,34 @@ def expected_pt_utility_scalar(
     else:
         i2 = -m_g * gain_lo**bp1 + m_l * loss_hi**bm1
     return i1 + i2
+
+
+def _pt_value_slope(u: float, p: ProspectParams) -> float:
+    """Derivative of ``pt_value``; at the reference the steeper side's (+inf if curved)."""
+    d = u - p.r
+    if d > 0.0:
+        return p.beta_plus * d ** (p.beta_plus - 1.0)
+    if d < 0.0:
+        return p.lam * p.beta_minus * (-d) ** (p.beta_minus - 1.0)
+    return math.inf if min(p.beta_plus, p.beta_minus) < 1.0 else max(1.0, p.lam)
+
+
+def expected_pt_utility_slope(a1, a2, q1, q2max, rho, k, lc, pp: ProspectParams) -> float:
+    """Derivative of ``expected_pt_utility_scalar`` in the own fraction ``a1``.
+
+    The terms at the split cancel (the trimmed utility starts at the
+    untrimmed one), and past it the trimmed utility moves by
+    ``q1 * (k/2 - rho)`` per unit of ``a1``, so that segment integrates
+    the value's slope in closed form.  Continuous across the contested
+    boundary; +inf where the untrimmed utility meets the reference (beta < 1).
+    """
+    u1 = rho * q1 * (1.0 - a1) + k * q1 * a1
+    own = q1 * (k - rho) * _pt_value_slope(u1, pp)
+    if a2 <= 0.0 or a1 * q1 + a2 * q2max <= lc:
+        return own
+    split, u_hi, *_ = _contested(a1, a2, q1, q2max, rho, k, lc, pp)
+    drift = q1 * (0.5 * k - rho) * 2.0 / (k * a2 * q2max)
+    return (split / q2max) * own + drift * (pt_value(u1, pp) - pt_value(u_hi, pp))
 
 
 def expected_pt_utility(player: int, profile: StrategyProfile, s: Scenario) -> float:

@@ -4,17 +4,19 @@ The quadrature oracle integrates the ex-post utility (optionally framed)
 over the opponent's uniform type directly, so it shares no algebra with
 the closed forms it is used to check.  Only tests and the benchmark call
 it, so it imports ``scipy.integrate`` on its first call rather than with
-this module.  The grid searcher maximizes the framed closed-form
-expected utility by brute force, and the iteration solver alternates
-the two players' best responses until a fixed point or the round cap.
+this module.  The framed best response scans the closed form for its
+basin and takes the root of its analytic slope there; the iteration
+solver alternates best responses, with Aitken steps, to a fixed point.
 
-The numerics are fixed: a 1e-3 search grid (``GRID_STEP``), a 1e-6
-fixed-point tolerance (``TOL``), a 200-round cap (``MAX_ROUNDS``) and a
-1e-10 relative quadrature tolerance (``QUAD_REL_TOL``).
+The numerics are fixed: a 1e-3 scan grid (``GRID_STEP``), a 1e-12
+fixed-point tolerance (``TOL``), a 200-round guard (``MAX_ROUNDS``), a
+1e-5 match to a rational BNE (``CLASSIFY_TOL``) and a 1e-10 relative
+quadrature tolerance (``QUAD_REL_TOL``).
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -26,6 +28,7 @@ __all__ = [
     "GRID_STEP",
     "TOL",
     "MAX_ROUNDS",
+    "CLASSIFY_TOL",
     "QUAD_REL_TOL",
     "quadrature_expected_utility",
     "grid_best_response",
@@ -33,11 +36,13 @@ __all__ = [
 ]
 
 GRID_STEP = 1e-3
-TOL = 1e-6
+TOL = 1e-12
 MAX_ROUNDS = 200
 QUAD_REL_TOL = 1e-10
+CLASSIFY_TOL = 1e-5
+_ROOT_XTOL, _ROOT_STEPS = 1e-14, 100  # slope root: bracket width, step limit
 
-# The brute-force search grid: [0, 1] in steps of GRID_STEP.
+# The basin scan: [0, 1] in steps of GRID_STEP.
 _UNIT_GRID = np.linspace(0.0, 1.0, round(1.0 / GRID_STEP) + 1)
 _UNIT_GRID.flags.writeable = False
 
@@ -110,55 +115,73 @@ def quadrature_expected_utility(
 
 
 # ---------------------------------------------------------------------------
-# brute-force best response
+# framed best response
 # ---------------------------------------------------------------------------
 
 
-def _ternary_refine(
-    f: Callable[[float], float], lo: float, hi: float, width_tol: float = 1e-10
-) -> float:
-    """Shrink a bracket around a presumed-unimodal maximum."""
-    while hi - lo > width_tol:
-        third = (hi - lo) / 3.0
-        m1 = lo + third
-        m2 = hi - third
-        if f(m1) < f(m2):
-            lo = m1
+def _slope_root(slope: Callable[[float], float], lo, hi, f_lo, f_hi) -> float:
+    """Root of ``slope`` falling from ``f_lo > 0`` at ``lo`` to ``f_hi < 0`` at ``hi``.
+
+    Illinois false position; a step outside the bracket bisects instead.
+    """
+    side = 0
+    for _ in range(_ROOT_STEPS):
+        if hi - lo <= _ROOT_XTOL:
+            break
+        x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+        fx = slope(x)
+        if fx > 0.0:
+            lo, f_lo, f_hi = x, fx, f_hi * (0.5 if side > 0 else 1.0)
+            side = 1
         else:
-            hi = m2
+            hi, f_hi, f_lo = x, fx, f_lo * (0.5 if side < 0 else 1.0)
+            side = -1
     return 0.5 * (lo + hi)
 
 
 def grid_best_response(player: int, opponent_alpha: float, s: Scenario) -> float:
-    """Brute-force argmax of the framed closed-form expected utility.
+    """Argmax of the framed closed-form expected utility.
 
-    Ties break toward the smaller fraction.  An interior grid maximum is
-    refined by ternary search inside its one-step bracket; the refined
-    point is kept only if it does not score below the grid winner, so a
-    non-unimodal bracket can never make the answer worse.
+    A scan in steps of ``GRID_STEP`` picks the basin (ties break toward
+    the smaller fraction).  If the utility's slope changes sign over the
+    step from the winner to the neighbour it points at (0 and 1 included),
+    its root is the answer, kept only if it does not score below the winner.
     """
     pp = pt._require_framed(player, s)
-    q1, q2max, rho, k, lc = s.duel(player)
+    args = (float(opponent_alpha), *s.duel(player), pp)
+    i = int(np.argmax(pt.expected_pt_utility_grid(_UNIT_GRID, *args)))
+    best = float(_UNIT_GRID[i])
 
-    def utility(a1: float) -> float:
-        return pt.expected_pt_utility_scalar(a1, opponent_alpha, q1, q2max, rho, k, lc, pp)
+    def slope(a1: float) -> float:
+        return pt.expected_pt_utility_slope(a1, *args)
 
-    grid = _UNIT_GRID
-    values = pt.expected_pt_utility_grid(grid, opponent_alpha, q1, q2max, rho, k, lc, pp)
-    i = int(np.argmax(values))
-    best_alpha = float(grid[i])
-    if 0 < i < len(grid) - 1:
-        refined = _ternary_refine(utility, float(grid[i - 1]), float(grid[i + 1]))
-        f_ref = utility(refined)
-        f_best = float(values[i])
-        if f_ref > f_best or (f_ref == f_best and refined < best_alpha):
-            best_alpha = refined
-    return best_alpha
+    f_best = slope(best)
+    j = i + 1 if f_best > 0.0 else i - 1
+    if f_best == 0.0 or not 0 <= j < len(_UNIT_GRID):
+        return best
+    other = float(_UNIT_GRID[j])
+    (lo, f_lo), (hi, f_hi) = sorted([(best, f_best), (other, slope(other))])
+    if not f_lo > 0.0 > f_hi:
+        return best
+    root = _slope_root(slope, lo, hi, f_lo, f_hi)
+    utility = pt.expected_pt_utility_scalar
+    return root if utility(root, *args) >= utility(best, *args) else best
 
 
 # ---------------------------------------------------------------------------
 # best-response iteration
 # ---------------------------------------------------------------------------
+
+
+def _aitken(x0: float, x1: float, x2: float) -> float | None:
+    """Aitken's delta-squared limit of three successive iterates, clipped to [0, 1],
+    or None unless their steps shrink with one sign (a ratio in (0, 1))."""
+    d1, d2 = x1 - x0, x2 - x1
+    if d1 == 0.0 or not 0.0 < d2 / d1 < 1.0:
+        return None
+    return min(1.0, max(0.0, x2 + d2 * d2 / (d1 - d2)))
 
 
 # An overflow in the framed closed form raises FloatingPointError rather
@@ -172,10 +195,14 @@ def iterate_best_response(
 
     Each round player 0 responds to player 1's fraction, then player 1
     to player 0's new one.  Players carrying prospect parameters respond
-    with the framed grid search, the others with the closed form.
-    Convergence means the largest strategy update in a round is at most
-    ``TOL``; after ``MAX_ROUNDS`` rounds the result is reported as not
-    converged.
+    with the framed best response, the others with the closed form.
+    Convergence means a round whose largest strategy update is at most
+    ``TOL``.  Rounds crawl near a best-response slope of -1, so after
+    three rounds in a row one round is tried from the Aitken extrapolation
+    of player 2's fraction, kept only if it moves player 2 less than the
+    last plain round did; a kept round starts the next run of three.
+    ``iterations`` counts every round, tried ones included; a result
+    still moving after the ``MAX_ROUNDS`` guard is not converged.
     """
     framed = tuple(p is not None for p in s.prospect)
 
@@ -184,14 +211,27 @@ def iterate_best_response(
             return grid_best_response(p, a_opp, s)
         return cgt.best_response_cgt(p, a_opp, s)[0]
 
-    a = (1.0, 1.0) if initial is None else (initial[0], initial[1])
-    for rounds in range(1, MAX_ROUNDS + 1):
+    def play(a: tuple[float, float]) -> tuple[tuple[float, float], float]:
         a1 = respond(0, a[1])
         nxt = (a1, respond(1, a1))
-        delta = max(abs(nxt[0] - a[0]), abs(nxt[1] - a[1]))
-        a = nxt
-        if delta <= TOL:
-            break
+        return nxt, max(abs(nxt[0] - a[0]), abs(nxt[1] - a[1]))
+
+    a = (1.0, 1.0) if initial is None else (float(initial[0]), float(initial[1]))
+    trail = [a[1]]  # player 2's fraction along the current run of rounds
+    rounds, delta = 0, math.inf
+    while delta > TOL and rounds < MAX_ROUNDS:
+        a, delta = play(a)
+        rounds += 1
+        trail.append(a[1])
+        guess = _aitken(*trail[-3:]) if len(trail) > 3 else None
+        if guess is not None and delta > TOL and rounds < MAX_ROUNDS:
+            trial, moved = play((a[0], guess))
+            rounds += 1
+            if abs(trial[1] - guess) < abs(trail[-1] - trail[-2]):
+                a, delta = trial, moved
+                trail = [guess, a[1]]
+            else:
+                trail = [a[1]]
     profile = StrategyProfile.of(*a)
     utilities = tuple(
         pt.expected_pt_utility(p, profile, s)
@@ -218,8 +258,7 @@ def _classify(
     """Label an iterated result; purely rational runs map onto a closed-form BNE."""
     if any(framed):
         return "PT-Iterated"
-    atol = 10.0 * TOL
     for res in cgt.enumerate_bne(s):
-        if all(abs(profile[p] - res.profile[p]) <= atol for p in (0, 1)):
+        if all(abs(profile[p] - res.profile[p]) <= CLASSIFY_TOL for p in (0, 1)):
             return res.classification
     return "PT-Iterated"

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from gridstore import NotTwoPlayer, scenario_from_dict
 from gridstore.cli import run
-from gridstore.solver import MAX_ROUNDS
+from gridstore import solver
 
 CONFIG = str(Path(__file__).resolve().parent.parent / "configs" / "defaults.json")
 DATA = Path(__file__).resolve().parent / "data"
@@ -116,24 +116,35 @@ def test_solve_pt_offers_only_scenario_and_start_flags(capsys):
     assert flags == {"--help", "--config", "--override", "--start"}
 
 
-def test_solve_pt_round_cap_is_exit_four(capsys):
-    # Both references at 13.357 keep the iteration short of the tolerance
-    # for the whole round cap (see the solver test of the same input).
-    code = run(
-        [
-            "solve-pt",
-            "--config",
-            CONFIG,
-            "--override",
-            "prospect.0.r=13.357",
-            "--override",
-            "prospect.1.r=13.357",
-        ]
-    )
-    assert code == 4
+# Both references at 13.357 put the symmetric equilibrium in its flip
+# band (best-response slope about -0.986; see the solver test of the
+# same input).
+CAP_BAND_ARGV = [
+    "solve-pt",
+    "--config",
+    CONFIG,
+    "--override",
+    "prospect.0.r=13.357",
+    "--override",
+    "prospect.1.r=13.357",
+]
+
+
+def test_solve_pt_converges_in_the_flip_band(capsys):
+    assert run(CAP_BAND_ARGV) == 0
+    out = capsys.readouterr().out
+    assert "converged          true" in out
+    assert int(re.search(r"^iterations +(\d+)$", out, re.M).group(1)) < 30
+
+
+def test_solve_pt_round_cap_is_exit_four(capsys, monkeypatch):
+    # The round cap is a guard; with one round allowed the iteration
+    # cannot settle, and a solve that does not settle exits 4.
+    monkeypatch.setattr(solver, "MAX_ROUNDS", 1)
+    assert run(CAP_BAND_ARGV) == 4
     captured = capsys.readouterr()
     assert "converged          false" in captured.out
-    assert captured.err == f"error: no fixed point within {MAX_ROUNDS} rounds\n"
+    assert captured.err == "error: no fixed point within 1 rounds\n"
 
 
 def test_missing_config_file():

@@ -11,6 +11,7 @@ fact gets its own test.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import replace
 
@@ -27,6 +28,7 @@ from gridstore import (
     quadrature_expected_utility,
 )
 from gridstore.errors import DegenerateOpponentStrategy, MissingProspectParams
+from gridstore.pt import expected_pt_utility_slope
 
 from helpers import (
     BENCH_PROSPECT,
@@ -218,3 +220,65 @@ def test_framed_value_continuous_at_trimming_onset():
     above = expected_pt_utility(0, StrategyProfile.of(onset + eps, a2), s)
     assert below == pytest.approx(at, abs=1e-6)
     assert above == pytest.approx(at, abs=1e-6)
+
+
+# --- slope in the own fraction ------------------------------------------
+
+
+def _slope(s, a1: float, a2: float) -> float:
+    return expected_pt_utility_slope(a1, a2, *s.duel(0), s.prospect[0])
+
+
+def _quadrature_slope(s, a1: float, a2: float, h: float = 1e-6) -> float:
+    """Central difference of the independent oracle, which shares no algebra with the slope."""
+    up = quadrature_expected_utility(0, StrategyProfile.of(a1 + h, a2), s, framed=True)
+    down = quadrature_expected_utility(0, StrategyProfile.of(a1 - h, a2), s, framed=True)
+    return (up - down) / (2.0 * h)
+
+
+@pytest.mark.parametrize(("want_gain", "want_branch"), FEASIBLE_CELLS)
+def test_slope_matches_quadrature_in_each_branch(want_gain, want_branch):
+    rng = random.Random(f"slope-{want_branch}")
+    for _ in range(4):
+        draw = framed_region_draw(rng, want_gain, want_branch)
+        assert draw is not None
+        s, (a1, a2) = draw
+        assert _slope(s, a1, a2) == pytest.approx(_quadrature_slope(s, a1, a2), rel=1e-6, abs=1e-6)
+
+
+def test_slope_continuous_across_the_contested_boundary():
+    s = framed_benchmark()
+    a2 = 0.9
+    onset = (s.grid.l_c - a2 * s.microgrids[1].q_max) / s.microgrids[0].q
+    for a1 in (onset - 1e-3, onset + 1e-3):
+        assert _slope(s, a1, a2) == pytest.approx(_quadrature_slope(s, a1, a2), rel=1e-6)
+    eps = 1e-9
+    assert _slope(s, onset - eps, a2) == pytest.approx(_slope(s, onset + eps, a2), rel=1e-6)
+
+
+def test_slope_with_unit_exponents_jumps_by_loss_aversion_at_the_reference():
+    # With beta = 1 the value function has a kink, not a cusp: its slope
+    # steps from lam below the reference to 1 above it.
+    p = ProspectParams(r=13.0, lam=2.25, beta_plus=1.0, beta_minus=1.0)
+    s = benchmark_scenario(prospect=(p, p))
+    a2 = 1.0
+    q1, _, rho, k, _ = s.duel(0)
+    crossing = (p.r - rho * q1) / (q1 * (k - rho))
+    for a1 in (crossing - 1e-3, crossing + 1e-3):
+        assert _slope(s, a1, a2) == pytest.approx(_quadrature_slope(s, a1, a2), rel=1e-6)
+    eps = 1e-9
+    below, above = _slope(s, crossing - eps, a2), _slope(s, crossing + eps, a2)
+    split = (s.grid.l_c - crossing * q1) / a2
+    own_share = q1 * (k - rho) * split / s.microgrids[1].q_max
+    assert below - above == pytest.approx((p.lam - 1.0) * own_share, rel=1e-6)
+
+
+def test_slope_is_infinite_where_utility_meets_a_curved_reference():
+    # The reference sits exactly at the untrimmed utility of a1 = 0.5.
+    q1, _, rho, k, _ = framed_benchmark().duel(0)
+    a1 = 0.5
+    s = framed_benchmark(reference=rho * q1 * (1.0 - a1) + k * q1 * a1)
+    assert _slope(s, a1, 1.0) == math.inf
+    for side in (-1.0, 1.0):
+        near, far = _slope(s, a1 + side * 1e-12, 1.0), _slope(s, a1 + side * 1e-6, 1.0)
+        assert math.isfinite(near) and near > far > 0.0

@@ -10,18 +10,27 @@ import textwrap
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import gridstore
 from gridstore import (
     ProspectParams,
     StrategyProfile,
+    asymmetric_equilibrium,
     best_response_cgt,
+    default_scenario,
     grid_best_response,
     iterate_best_response,
     quadrature_expected_utility,
+    required_emergency_price,
+    sweep_emergency_price,
+    sweep_reference_point,
+    SweepSpec,
 )
-from gridstore.solver import MAX_ROUNDS, TOL
+from gridstore import solver
+from gridstore.pt import expected_pt_utility_scalar
+from gridstore.solver import TOL
 
 from helpers import BENCH_PROSPECT, benchmark_scenario, framed_benchmark
 
@@ -128,10 +137,9 @@ def test_grid_best_response_refines_to_interior_optimum():
     s = benchmark_scenario(prospect=(NEUTRAL, None))
     rational, _ = best_response_cgt(0, 1.0, s)
     assert rational == pytest.approx(INTERIOR_BR, abs=1e-12)
-    # Ternary refinement inside the winning bracket resolves far below
-    # the grid step; comparison noise on the flat quadratic top caps the
-    # attainable accuracy near sqrt(eps).
-    assert grid_best_response(0, 1.0, s) == pytest.approx(rational, abs=1e-6)
+    # The root of the analytic slope resolves the flat quadratic top to
+    # float precision, far below the scan step.
+    assert grid_best_response(0, 1.0, s) == pytest.approx(rational, abs=1e-12)
 
 
 def test_grid_best_response_store_all_branch():
@@ -208,12 +216,125 @@ def test_iteration_is_deterministic():
     assert a.iterations == b.iterations
 
 
-def test_iteration_round_cap_reported_as_non_convergence():
-    # Near R = 13.357 the symmetric equilibrium's best-response slope is
-    # about -0.986, so alternating best responses settle too slowly to
-    # meet the tolerance within the cap.
-    res = iterate_best_response(framed_benchmark(reference=13.357))
+def mutual_residual(s, profile) -> float:
+    """Largest distance of a player's fraction from its best response to the other's."""
+    gaps = []
+    for p in (0, 1):
+        if s.prospect[p] is not None:
+            br = grid_best_response(p, profile[1 - p], s)
+        else:
+            br = best_response_cgt(p, profile[1 - p], s)[0]
+        gaps.append(abs(br - profile[p]))
+    return max(gaps)
+
+
+def _framed_utility(s, player: int, a1: float, a2: float) -> float:
+    return expected_pt_utility_scalar(a1, a2, *s.duel(player), s.prospect[player])
+
+
+def _price_row(rho_c: float, reference: float):
+    s = default_scenario(reference=reference, lam=4.0)
+    return replace(s, grid=replace(s.grid, rho_c=rho_c))
+
+
+# R = 13.357 sits in the flip band of the symmetric equilibrium: its
+# best-response slope is about -0.986, so plain alternating rounds
+# contract by about 0.97 a round.
+CAP_BAND_REFERENCE = 13.357
+
+
+def test_iteration_converges_in_the_flip_band():
+    s = framed_benchmark(reference=CAP_BAND_REFERENCE)
+    res = iterate_best_response(s)
+    assert res.converged
+    assert res.iterations < 30
+    assert res.residual <= TOL
+    assert mutual_residual(s, res.profile) <= 1e-10
+
+
+def test_iteration_round_cap_reported_as_non_convergence(monkeypatch):
+    # The round cap is a guard; one round from (1, 1) cannot settle here.
+    monkeypatch.setattr(solver, "MAX_ROUNDS", 1)
+    res = iterate_best_response(framed_benchmark(reference=CAP_BAND_REFERENCE))
     assert not res.converged
-    assert res.iterations == MAX_ROUNDS
+    assert res.iterations == 1
     assert res.residual > TOL
 
+
+def test_best_response_finds_a_maximum_inside_the_last_step():
+    # Price-sensitivity row rho_c = 11, R = 13.1992: the scan's winner is
+    # alpha = 1, but the maximum lies inside [0.999, 1].
+    s = _price_row(11.0, 13.1992)
+    br = grid_best_response(1, 0.667686, s)
+    assert br == pytest.approx(0.99933445053, abs=1e-9)
+    assert _framed_utility(s, 1, br, 0.667686) > _framed_utility(s, 1, 1.0, 0.667686)
+
+
+def test_best_response_keeps_the_narrow_peak_the_scan_finds():
+    # A coarser scan picks the basin at 0.9217 here, which scores 5.2e-3
+    # below the narrow peak near 0.98693.
+    s = _price_row(12.0, 14.368642669672138)
+    br = grid_best_response(0, 0.98693454, s)
+    assert br == pytest.approx(0.98693454, abs=1e-6)
+    wide = max(np.linspace(0.9, 0.95, 501), key=lambda a: _framed_utility(s, 0, float(a), 0.98693454))
+    assert abs(wide - 0.9217) < 1e-3
+    assert _framed_utility(s, 0, br, 0.98693454) > _framed_utility(s, 0, float(wide), 0.98693454) + 5e-3
+
+
+def test_best_response_through_an_infinite_slope_under_raising_errstate():
+    # At R = 13.8 the untrimmed utility meets the reference at a1 = 0.9375,
+    # inside the bracket [0.937, 0.938] of the answer, where the slope is
+    # +inf; a NumPy scalar opponent fraction must not turn that into a
+    # FloatingPointError.
+    s = default_scenario(reference=13.8)
+    with np.errstate(all="raise"):
+        br = grid_best_response(0, np.float64(0.8), s)
+    assert 0.9375 < br < 0.938
+    fine = np.linspace(0.937, 0.938, 10001)
+    best = max(_framed_utility(s, 0, float(a), 0.8) for a in fine)
+    assert _framed_utility(s, 0, br, 0.8) >= best - 1e-12
+
+
+def test_mixed_game_equilibrium_does_not_depend_on_the_start():
+    s = replace(default_scenario(reference=25.0), prospect=(replace(BENCH_PROSPECT, r=25.0), None))
+    results = [
+        iterate_best_response(s, StrategyProfile.of(a, a)).profile for a in (1.0, 0.5, 0.0)
+    ]
+    for profile in results[1:]:
+        assert profile[0] == pytest.approx(results[0][0], abs=1e-10)
+        assert profile[1] == pytest.approx(results[0][1], abs=1e-10)
+
+
+def published_battery():
+    """(scenario, profile) of every row the published battery reports."""
+    refs = tuple(np.arange(5.0, 16.0 + 1e-9, 0.25))
+    base = default_scenario()
+    for row in sweep_reference_point(
+        SweepSpec(base=base, swept_parameter="reference_point", values=refs)
+    )[1:]:
+        yield default_scenario(reference=row.value), row
+    spec = SweepSpec(
+        base=default_scenario(lam=4.0),
+        swept_parameter="emergency_price",
+        values=(10.2, 11.0, 12.0),
+        reference_values=refs,
+    )
+    for row in sweep_emergency_price(spec):
+        yield _price_row(row.rho_c, row.reference), row
+    lams = tuple(np.arange(1.0, 4.0 + 1e-9, 0.5))
+    for reference in (11.5, 12.5):
+        for row in required_emergency_price(default_scenario(reference=reference), lams):
+            s = default_scenario(reference=reference, lam=row.lam)
+            yield replace(s, grid=replace(s.grid, rho_c=row.rho_c_star)), row
+    for row in asymmetric_equilibrium(base, tuple(np.arange(5.0, 25.0 + 1e-9, 0.5))):
+        yield replace(base, prospect=(replace(base.prospect[0], r=row.value), None)), row
+
+
+def test_every_published_row_is_a_mutual_best_response():
+    rows = 0
+    for s, row in published_battery():
+        profile = StrategyProfile.of(row.alpha_1, row.alpha_2)
+        assert row.converged
+        assert mutual_residual(s, profile) <= 1e-10, (row.sweep_param, row.value)
+        rows += 1
+    assert rows == 45 + 3 * 45 + 14 + 41
