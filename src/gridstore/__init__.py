@@ -28,7 +28,6 @@ _EXPORTS = {
     ),
     **dict.fromkeys(
         (
-            "DegenerateOpponentStrategy",
             "GridStoreError",
             "InvalidScenario",
             "MissingProspectParams",
@@ -72,7 +71,7 @@ _EXPORTS = {
         ),
         "model",
     ),
-    **dict.fromkeys(("PtBranchTerms", "expected_pt_utility", "pt_branch_terms", "pt_value"), "pt"),
+    **dict.fromkeys(("expected_pt_utility", "pt_value"), "pt"),
     **dict.fromkeys(
         ("grid_best_response", "iterate_best_response", "quadrature_expected_utility"),
         "solver",

@@ -28,7 +28,6 @@ from typing import Sequence
 
 from .cgt import bne_candidates, enumerate_bne, verify_bne
 from .errors import (
-    DegenerateOpponentStrategy,
     InvalidScenario,
     MissingProspectParams,
     NoCoveragePrice,
@@ -343,7 +342,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     except InvalidScenario as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (MissingProspectParams, NotTwoPlayer, DegenerateOpponentStrategy) as exc:
+    except (MissingProspectParams, NotTwoPlayer) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except NoCoveragePrice as exc:

@@ -26,10 +26,6 @@ class NotTwoPlayer(GridStoreError):
     """An operation that needs exactly two players got something else."""
 
 
-class DegenerateOpponentStrategy(GridStoreError):
-    """Opponent stores nothing, so the contested-region geometry collapses."""
-
-
 class MissingProspectParams(GridStoreError):
     """A framed evaluation was requested for a player without prospect parameters."""
 

@@ -176,12 +176,17 @@ def grid_best_response(player: int, opponent_alpha: float, s: Scenario) -> float
 
 
 def _aitken(x0: float, x1: float, x2: float) -> float | None:
-    """Aitken's delta-squared limit of three successive iterates, clipped to [0, 1],
-    or None unless their steps shrink with one sign (a ratio in (0, 1))."""
+    """Aitken's delta-squared limit of three successive iterates, or None unless
+    their steps shrink with one sign (a ratio in (0, 1)) toward a limit in [0, 1].
+
+    A limit outside [0, 1] is discarded, not clipped: a guess clipped to a
+    bound can land on the starting point and repeat the same rounds.
+    """
     d1, d2 = x1 - x0, x2 - x1
     if d1 == 0.0 or not 0.0 < d2 / d1 < 1.0:
         return None
-    return min(1.0, max(0.0, x2 + d2 * d2 / (d1 - d2)))
+    limit = x2 + d2 * d2 / (d1 - d2)
+    return limit if 0.0 <= limit <= 1.0 else None
 
 
 # An overflow in the framed closed form raises FloatingPointError rather

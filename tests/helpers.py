@@ -15,7 +15,7 @@ from gridstore.model import (
     Scenario,
     StrategyProfile,
 )
-from gridstore.pt import pt_branch_terms
+from gridstore.pt import _contested
 from gridstore.solver import grid_best_response
 
 BENCH_PROSPECT = ProspectParams(r=11.5, lam=2.25, beta_plus=0.88, beta_minus=0.88)
@@ -175,20 +175,51 @@ def contested_profile(rng: random.Random, s: Scenario) -> StrategyProfile | None
     return StrategyProfile.of(a1, a2)
 
 
+class ContestedTerms(NamedTuple):
+    """Player 0's contested geometry at one profile, and the branch it falls in."""
+
+    split: float  # opponent surplus where trimming starts
+    u1: float  # untrimmed utility; the trimmed one starts here at the split
+    u_hi: float  # trimmed utility at the largest opponent surplus
+    m_g: float  # gain-segment antiderivative coefficient
+    m_l: float  # loss-segment antiderivative coefficient
+    branch: str  # "AllGain", "AllLoss" or "Mixed": where [u_hi, u1] sits against r
+
+
+def contested_terms(profile: StrategyProfile, s: Scenario) -> ContestedTerms:
+    """``pt._contested``'s outputs for player 0, with the branch they imply.
+
+    Every trimmed utility lies in [u_hi, u1], so all types gain when
+    ``u_hi > r``, all lose when ``u1 < r``, and the rest straddle ``r``.
+    """
+    pp = s.prospect[0]
+    a1, a2 = profile
+    q1, q2max, rho, k, lc = s.duel(0)
+    u1 = rho * q1 * (1.0 - a1) + k * q1 * a1
+    split, u_hi, m_g, m_l = _contested(a1, a2, q1, q2max, rho, k, lc, pp)
+    if u_hi > pp.r:
+        branch = "AllGain"
+    elif u1 < pp.r:
+        branch = "AllLoss"
+    else:
+        branch = "Mixed"
+    return ContestedTerms(split, u1, u_hi, m_g, m_l, branch)
+
+
 def framed_region_draw(
     rng: random.Random, want_gain: bool, want_branch: str, max_tries: int = 4000
 ) -> tuple[Scenario, StrategyProfile] | None:
-    """Scenario/profile whose branch terms hit one (I_1 sign, I_2 branch) cell."""
+    """Scenario/profile whose contested terms hit one (I_1 sign, I_2 branch) cell."""
     for _ in range(max_tries):
         s = random_scenario(rng, framed=True)
         profile = contested_profile(rng, s)
         if profile is None:
             continue
-        terms = pt_branch_terms(0, profile, s)
+        terms = contested_terms(profile, s)
         if terms.branch != want_branch:
             continue
-        gain = terms.u_i1 > s.prospect[0].r
-        if gain == want_gain and terms.u_i1 != s.prospect[0].r:
+        gain = terms.u1 > s.prospect[0].r
+        if gain == want_gain and terms.u1 != s.prospect[0].r:
             return s, profile
     return None
 

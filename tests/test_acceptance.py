@@ -10,6 +10,7 @@ surrounding module tests freeze the behavior actually observed.
 
 from __future__ import annotations
 
+import os
 import random
 import subprocess
 import sys
@@ -19,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+import gridstore
 from gridstore import (
     ProspectParams,
     SweepSpec,
@@ -349,11 +351,16 @@ def test_criterion_10_cli_determinism_within_budget(tmp_path):
         "--step",
         "0.5",
     ]
+    # The child interpreter finds the package where this one did, even
+    # when it was never installed.
+    src = str(Path(gridstore.__file__).resolve().parent.parent)
+    search = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(search))
     first = tmp_path / "a.csv"
     second = tmp_path / "b.csv"
     for path in (first, second):
         proc = subprocess.run(
-            args + ["--out", str(path)], capture_output=True, text=True
+            args + ["--out", str(path)], capture_output=True, text=True, env=env
         )
         assert proc.returncode == 0, proc.stderr
     identical = first.read_bytes() == second.read_bytes()

@@ -23,17 +23,21 @@ from gridstore import (
     StrategyProfile,
     expected_pt_utility,
     expected_utility_cgt,
-    pt_branch_terms,
     pt_value,
     quadrature_expected_utility,
 )
-from gridstore.errors import DegenerateOpponentStrategy, MissingProspectParams
-from gridstore.pt import expected_pt_utility_slope
+from gridstore.errors import MissingProspectParams
+from gridstore.pt import (
+    expected_pt_utility_grid,
+    expected_pt_utility_scalar,
+    expected_pt_utility_slope,
+)
 
 from helpers import (
     BENCH_PROSPECT,
     benchmark_scenario,
     contested_profile,
+    contested_terms,
     framed_benchmark,
     framed_region_draw,
     random_scenario,
@@ -83,15 +87,12 @@ def test_value_function_continuous_at_reference():
 
 def test_branch_terms_benchmark_point():
     s = framed_benchmark()
-    terms = pt_branch_terms(0, StrategyProfile.of(0.8, 0.8), s)
-    assert terms.a == pytest.approx(130.0, rel=1e-12)
-    assert terms.b == pytest.approx(-0.2604166666666669, rel=1e-12)
-    assert terms.q2r == pytest.approx(173.87931034482756, rel=1e-12)
+    terms = contested_terms(StrategyProfile.of(0.8, 0.8), s)
+    assert terms.split == pytest.approx(130.0, rel=1e-12)
     assert terms.branch == "AllGain"
-    # The contested segment starts exactly at the uncontested utility and
-    # falls from there.
-    assert terms.u_a2 == terms.u_i1
-    assert terms.u_max2 < terms.u_a2
+    # The contested segment starts at the uncontested utility and falls
+    # from there.
+    assert terms.u_hi < terms.u1
     assert terms.m_g < 0.0 and terms.m_l < 0.0
 
 
@@ -103,21 +104,19 @@ def test_low_reference_point_makes_every_type_a_gain():
         profile = contested_profile(rng, s)
         if profile is None:
             continue
-        terms = pt_branch_terms(0, profile, s)
-        if terms.u_max2 <= 0.0:
+        terms = contested_terms(profile, s)
+        if terms.u_hi <= 0.0:
             continue
-        low = replace(s.prospect[0], r=0.5 * terms.u_max2)
+        low = replace(s.prospect[0], r=0.5 * terms.u_hi)
         s_low = replace(s, prospect=(low, None))
-        assert pt_branch_terms(0, profile, s_low).branch == "AllGain"
+        assert contested_terms(profile, s_low).branch == "AllGain"
         hits += 1
 
 
-def test_branch_terms_reject_idle_opponent():
+def test_idle_opponent_leaves_the_uncontested_value():
+    # An idle opponent never triggers trimming, so the framed value is the
+    # uncontested one.
     s = framed_benchmark()
-    with pytest.raises(DegenerateOpponentStrategy):
-        pt_branch_terms(0, StrategyProfile.of(0.8, 0.0), s)
-    # The expectation itself stays defined: an idle opponent simply never
-    # triggers trimming, so the framed value is the uncontested one.
     u = expected_pt_utility(0, StrategyProfile.of(0.8, 0.0), s)
     assert u == pytest.approx(pt_value(0.1 * 120 * 0.2 + 0.116 * 120 * 0.8, s.prospect[0]))
 
@@ -200,14 +199,39 @@ def test_uncontested_sign_pins_the_branch(seed):
     while profile is None:
         s = random_scenario(rng, framed=True)
         profile = contested_profile(rng, s)
-    terms = pt_branch_terms(0, profile, s)
+    terms = contested_terms(profile, s)
     r = s.prospect[0].r
-    assume(terms.u_i1 != r)
-    if terms.u_i1 > r:
+    assume(terms.u1 != r)
+    if terms.u1 > r:
         assert terms.branch in ("AllGain", "Mixed")
     else:
         assert terms.branch == "AllLoss"
-    assert terms.u_max2 < terms.u_a2 == terms.u_i1
+    assert terms.u_hi < terms.u1
+
+
+def _twin_cases():
+    """(scenario, profile) per feasible branch cell, plus uncontested and idle-opponent ones."""
+    for want_gain, want_branch in FEASIBLE_CELLS:
+        rng = random.Random(f"twins-{want_branch}")
+        for _ in range(20):
+            yield framed_region_draw(rng, want_gain, want_branch)
+    rng = random.Random("twins-uncontested")
+    for _ in range(20):
+        s = random_scenario(rng, framed=True)
+        a1 = rng.uniform(0.0, 1.0)
+        q1, q2max, *_, lc = s.duel(0)
+        slack = max(0.0, min(1.0, (lc - a1 * q1) / q2max))
+        yield s, StrategyProfile.of(a1, rng.uniform(0.0, slack))
+        yield s, StrategyProfile.of(a1, 0.0)
+
+
+def test_scalar_and_grid_evaluators_agree():
+    # Not bit for bit: the grid's NumPy power may differ from libm's in
+    # the last place.
+    for s, (a1, a2) in _twin_cases():
+        args = (a2, *s.duel(0), s.prospect[0])
+        grid = float(expected_pt_utility_grid(a1, *args)[0])
+        assert expected_pt_utility_scalar(a1, *args) == pytest.approx(grid, rel=1e-12)
 
 
 def test_framed_value_continuous_at_trimming_onset():

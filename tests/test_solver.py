@@ -53,14 +53,14 @@ def test_quadrature_contested_matches_closed_form_value():
 
 # Every name ``gridstore`` exports; the lazy loader must keep this set.
 EXPORTS = {
-    "Belief", "BestResponseCase", "DegenerateOpponentStrategy", "EmergencyPriceRow",
+    "Belief", "BestResponseCase", "EmergencyPriceRow",
     "EquilibriumResult", "GridParams", "GridStoreError", "InvalidScenario",
     "MicrogridConfig", "MissingProspectParams", "NoCoveragePrice", "NotTwoPlayer",
-    "ProspectParams", "PtBranchTerms", "RequiredPriceRow", "Scenario", "StrategyProfile",
+    "ProspectParams", "RequiredPriceRow", "Scenario", "StrategyProfile",
     "SweepRow", "SweepSpec", "asymmetric_equilibrium", "best_response_cgt",
     "bne_candidates", "default_scenario", "enumerate_bne", "expected_pt_utility",
     "expected_utility_cgt", "grid_best_response", "iterate_best_response",
-    "load_scenario", "max_deviation_by_price", "pt_branch_terms", "pt_value",
+    "load_scenario", "max_deviation_by_price", "pt_value",
     "purchased_energy", "quadrature_expected_utility", "realized_utility",
     "required_emergency_price", "run_sweep", "scenario_from_dict",
     "sweep_emergency_price", "sweep_reference_point", "validate_scenario", "verify_bne",
@@ -259,6 +259,28 @@ def test_iteration_round_cap_reported_as_non_convergence(monkeypatch):
     assert not res.converged
     assert res.iterations == 1
     assert res.residual > TOL
+
+
+# Benchmark sweep rows whose Aitken limit for player 2 lies past 1.  A
+# guess clipped to 1 restarted the solve at its own first round, which it
+# then repeated until the round cap, ending off equilibrium.
+@pytest.mark.parametrize(
+    ("rho_c", "reference"),
+    [
+        (None, 14.033591061028101),
+        (None, 14.032630057475167),
+        (12.0, 14.5412373699583),
+        (12.0, 11.239990232548738),
+        (12.0, 11.257638830046844),
+        (12.0, 11.240195189188809),
+    ],
+)
+def test_iteration_discards_an_aitken_limit_outside_the_unit_interval(rho_c, reference):
+    s = default_scenario(reference=reference) if rho_c is None else _price_row(rho_c, reference)
+    res = iterate_best_response(s)
+    assert res.converged
+    assert res.residual <= TOL
+    assert mutual_residual(s, res.profile) <= 1e-10
 
 
 def test_best_response_finds_a_maximum_inside_the_last_step():
