@@ -19,6 +19,7 @@ deterministic, so repeated runs produce byte-identical CSV files.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -357,9 +358,12 @@ def required_emergency_price(
         )
 
     def search(lam: float) -> RequiredPriceRow:
-        def stored(rho_c: float) -> float:
-            scenario = with_price(lam, rho_c)
-            return _total_stored(iterate_best_response(scenario).profile, scenario)
+        @functools.cache  # the walk has often solved the covering price already
+        def solve(rho_c: float) -> EquilibriumResult:
+            return iterate_best_response(with_price(lam, rho_c))
+
+        def stored(rho_c: float) -> float:  # the price leaves the surpluses alone
+            return _total_stored(solve(rho_c).profile, base)
 
         if stored(price_hi) < target:
             raise NoCoveragePrice(lam, price_hi)
@@ -413,7 +417,7 @@ def required_emergency_price(
             f"required_emergency_price:R={reference:g}",
             lam,
             scenario,
-            iterate_best_response(scenario),
+            solve(star),
             RequiredPriceRow,
             reference=reference,
             rho_c_star=star,

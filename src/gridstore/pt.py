@@ -7,7 +7,8 @@ expected framed utility against a uniform opponent type still splits
 into an uncontested part (a point mass in utility space) and a contested
 integral, which takes the antiderivative of each value segment, gain and
 loss, between the untrimmed utility and the trimmed one at the largest
-opponent surplus.
+opponent surplus.  Terms of the own fraction alone are computed once, so a
+grid of own fractions can be scored against many opponent fractions.
 """
 
 from __future__ import annotations
@@ -53,8 +54,22 @@ def _require_framed(player: int, s: Scenario) -> ProspectParams:
     return p
 
 
-def _contested(a1, a2, q1, q2max, rho, k, lc, pp: ProspectParams):
-    """Geometry of the contested region, for a float or an array of own fractions.
+def _own_terms(a1, q1, rho, k, pp: ProspectParams, value, clamp):
+    """Terms the opponent leaves alone, for a float or an array of own fractions ``a1``.
+
+    ``(keep, stored, v1, g1, l1)``: the sale value ``rho*q1*(1 - a1)``, the
+    stored energy ``a1*q1``, the framed value of the untrimmed utility (by
+    ``value``), and the gain and loss antiderivative bases at that utility.
+    """
+    keep, stored = rho * q1 * (1.0 - a1), a1 * q1
+    u1 = keep + k * q1 * a1
+    g1 = clamp(u1 - pp.r, 0.0) ** (pp.beta_plus + 1.0)
+    l1 = clamp(pp.r - u1, 0.0) ** (pp.beta_minus + 1.0)
+    return keep, stored, value(u1, pp), g1, l1
+
+
+def _contested(keep, stored, a2, q2max, k, lc, pp: ProspectParams):
+    """Geometry of the contested region, from own terms that are floats or arrays.
 
     Returns ``(split, u_hi, m_g, m_l)``: the opponent surplus where
     trimming starts, the trimmed utility at the largest opponent surplus,
@@ -62,71 +77,57 @@ def _contested(a1, a2, q1, q2max, rho, k, lc, pp: ProspectParams):
     belief density.  The trimmed utility is linear and decreasing in the
     opponent surplus, which gives all of them in closed form.
     """
-    split = (lc - a1 * q1) / a2
-    u_hi = rho * q1 * (1.0 - a1) + 0.5 * k * (a1 * q1 + lc - a2 * q2max)
+    split = (lc - stored) / a2
+    u_hi = keep + 0.5 * k * (stored + lc - a2 * q2max)
     m_g = -2.0 / ((pp.beta_plus + 1.0) * k * a2 * q2max)
     m_l = -2.0 * pp.lam / ((pp.beta_minus + 1.0) * k * a2 * q2max)
     return split, u_hi, m_g, m_l
 
 
-def _contested_expectation(a1, a2, u1, v1, q1, q2max, rho, k, lc, pp: ProspectParams, clamp):
-    """Expected framed utility of contested own fractions ``a1``.
+def _contested_expectation(own, a2, q2max, k, lc, pp: ProspectParams, clamp):
+    """Expected framed utility of contested own fractions, from their ``_own_terms``.
 
-    ``u1`` is the untrimmed utility and ``v1`` its framed value, which
-    holds for the opponent types below the split.  Past the split the
-    trimmed utility falls linearly from ``u1`` to ``u_hi``, so each
-    segment of the value function integrates to its antiderivative taken
-    between those two utilities.  A segment the utility never enters has
-    both bases exactly 0, so no branch on the reference crossing is
-    needed.  ``clamp`` is ``max`` for floats and ``np.maximum`` for arrays.
+    ``v1`` holds for the opponent types below the split.  Past it the
+    trimmed utility falls linearly from the untrimmed ``u1`` to ``u_hi``, so
+    each value segment integrates to its antiderivative between the two.  A
+    segment the utility never enters has both bases exactly 0.  ``clamp`` is
+    ``max`` for floats and ``np.maximum`` for arrays.
     """
-    split, u_hi, m_g, m_l = _contested(a1, a2, q1, q2max, rho, k, lc, pp)
+    keep, stored, v1, g1, l1 = own
+    split, u_hi, m_g, m_l = _contested(keep, stored, a2, q2max, k, lc, pp)
     r, bp1, bm1 = pp.r, pp.beta_plus + 1.0, pp.beta_minus + 1.0
-    gain = m_g * (clamp(u_hi - r, 0.0) ** bp1 - clamp(u1 - r, 0.0) ** bp1)
-    loss = m_l * (clamp(r - u_hi, 0.0) ** bm1 - clamp(r - u1, 0.0) ** bm1)
+    gain = m_g * (clamp(u_hi - r, 0.0) ** bp1 - g1)
+    loss = m_l * (clamp(r - u_hi, 0.0) ** bm1 - l1)
     return (split / q2max) * v1 + (gain + loss)
 
 
-def expected_pt_utility_grid(
-    own_alpha: np.ndarray | float,
-    opp_alpha: float,
-    q1: float,
-    q2max: float,
-    rho: float,
-    k: float,
-    lc: float,
-    pp: ProspectParams,
-) -> np.ndarray:
-    """Expected framed utility over a vector of own storage fractions."""
-    a1 = np.atleast_1d(np.asarray(own_alpha, dtype=float))
-    u_lin = rho * q1 * (1.0 - a1) + k * q1 * a1
-    out = _pt_value_vec(u_lin, pp)
-    if opp_alpha > 0.0:
-        contested = a1 * q1 + opp_alpha * q2max > lc
-        if np.any(contested):
-            out[contested] = _contested_expectation(
-                a1[contested], opp_alpha, u_lin[contested], out[contested],
-                q1, q2max, rho, k, lc, pp, np.maximum,
-            )
+def grid_own_terms(a1: np.ndarray, q1, rho, k, pp: ProspectParams) -> tuple[np.ndarray, ...]:
+    """``_own_terms`` over an ascending array of own fractions."""
+    return _own_terms(a1, q1, rho, k, pp, _pt_value_vec, np.maximum)
+
+
+def expected_pt_utility_grid(own, opp_alpha: float, q2max, k, lc, pp: ProspectParams) -> np.ndarray:
+    """Expected framed utility over the ascending own fractions ``own`` was built on.
+
+    Trimming starts where ``a1*q1 + opp_alpha*q2max`` passes the critical
+    load, which is monotone in ``a1``, so only that suffix is contested.
+    """
+    _, stored, v1, _, _ = own
+    out, n = v1.copy(), len(v1)
+    i = int(np.searchsorted(stored + opp_alpha * q2max, lc, side="right")) if opp_alpha > 0.0 else n
+    if i < n:
+        tail = tuple(term[i:] for term in own)  # views of the contested suffix
+        out[i:] = _contested_expectation(tail, opp_alpha, q2max, k, lc, pp, np.maximum)
     return out
 
 
-def expected_pt_utility_scalar(
-    a1: float,
-    a2: float,
-    q1: float,
-    q2max: float,
-    rho: float,
-    k: float,
-    lc: float,
-    pp: ProspectParams,
-) -> float:
+def expected_pt_utility_scalar(a1, a2, q1, q2max, rho, k, lc, pp: ProspectParams) -> float:
     """Plain-float twin of the grid evaluator, for tight refinement loops."""
-    u1 = rho * q1 * (1.0 - a1) + k * q1 * a1
-    v1 = pt_value(u1, pp)
-    if a2 <= 0.0 or a1 * q1 + a2 * q2max <= lc:
+    own = _own_terms(a1, q1, rho, k, pp, pt_value, max)
+    _, stored, v1, _, _ = own
+    if a2 <= 0.0 or stored + a2 * q2max <= lc:
         return v1
-    return _contested_expectation(a1, a2, u1, v1, q1, q2max, rho, k, lc, pp, max)
+    return _contested_expectation(own, a2, q2max, k, lc, pp, max)
 
 
 def _pt_value_slope(u: float, p: ProspectParams) -> float:
@@ -152,7 +153,7 @@ def expected_pt_utility_slope(a1, a2, q1, q2max, rho, k, lc, pp: ProspectParams)
     own = q1 * (k - rho) * _pt_value_slope(u1, pp)
     if a2 <= 0.0 or a1 * q1 + a2 * q2max <= lc:
         return own
-    split, u_hi, _, _ = _contested(a1, a2, q1, q2max, rho, k, lc, pp)
+    split, u_hi, _, _ = _contested(rho * q1 * (1.0 - a1), a1 * q1, a2, q2max, k, lc, pp)
     drift = q1 * (0.5 * k - rho) * 2.0 / (k * a2 * q2max)
     return (split / q2max) * own + drift * (pt_value(u1, pp) - pt_value(u_hi, pp))
 
@@ -166,4 +167,6 @@ def expected_pt_utility(player: int, profile: StrategyProfile, s: Scenario) -> f
     """
     pp = _require_framed(player, s)
     a1, a2 = profile[player], profile[1 - player]
-    return float(expected_pt_utility_grid(a1, a2, *s.duel(player), pp)[0])
+    q1, q2max, rho, k, lc = s.duel(player)
+    own = grid_own_terms(np.array([a1], dtype=float), q1, rho, k, pp)
+    return float(expected_pt_utility_grid(own, a2, q2max, k, lc, pp)[0])

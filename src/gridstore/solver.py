@@ -16,6 +16,7 @@ quadrature tolerance (``QUAD_REL_TOL``).
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable
 
@@ -45,6 +46,15 @@ _ROOT_XTOL, _ROOT_STEPS = 1e-14, 100  # slope root: bracket width, step limit
 # The basin scan: [0, 1] in steps of GRID_STEP.
 _UNIT_GRID = np.linspace(0.0, 1.0, round(1.0 / GRID_STEP) + 1)
 _UNIT_GRID.flags.writeable = False
+
+
+@functools.lru_cache(maxsize=2)
+def _unit_grid_terms(q1, rho, k, pp) -> tuple[np.ndarray, ...]:
+    """``pt`` own-side terms over the scan grid for one player's parameters, read-only."""
+    terms = pt.grid_own_terms(_UNIT_GRID, q1, rho, k, pp)
+    for term in terms:
+        term.flags.writeable = False
+    return terms
 
 
 # ---------------------------------------------------------------------------
@@ -150,8 +160,11 @@ def grid_best_response(player: int, opponent_alpha: float, s: Scenario) -> float
     its root is the answer, kept only if it does not score below the winner.
     """
     pp = pt._require_framed(player, s)
-    args = (float(opponent_alpha), *s.duel(player), pp)
-    i = int(np.argmax(pt.expected_pt_utility_grid(_UNIT_GRID, *args)))
+    q1, q2max, rho, k, lc = s.duel(player)
+    a2 = float(opponent_alpha)
+    args = (a2, q1, q2max, rho, k, lc, pp)
+    scan = pt.expected_pt_utility_grid(_unit_grid_terms(q1, rho, k, pp), a2, q2max, k, lc, pp)
+    i = int(np.argmax(scan))
     best = float(_UNIT_GRID[i])
 
     def slope(a1: float) -> float:
@@ -207,14 +220,18 @@ def iterate_best_response(
     of player 2's fraction, kept only if it moves player 2 less than the
     last plain round did; a kept round starts the next run of three.
     ``iterations`` counts every round, tried ones included; a result
-    still moving after the ``MAX_ROUNDS`` guard is not converged.
+    still moving after the ``MAX_ROUNDS`` guard is not converged.  A framed
+    response to an opponent fraction this solve has already met is reused.
     """
     framed = tuple(p is not None for p in s.prospect)
+    responses: tuple[dict[float, float], ...] = ({}, {})  # per player, by opponent fraction
 
     def respond(p: int, a_opp: float) -> float:
-        if framed[p]:
-            return grid_best_response(p, a_opp, s)
-        return cgt.best_response_cgt(p, a_opp, s)[0]
+        if not framed[p]:
+            return cgt.best_response_cgt(p, a_opp, s)[0]
+        if a_opp not in responses[p]:
+            responses[p][a_opp] = grid_best_response(p, a_opp, s)
+        return responses[p][a_opp]
 
     def play(a: tuple[float, float]) -> tuple[tuple[float, float], float]:
         a1 = respond(0, a[1])

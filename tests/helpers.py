@@ -15,7 +15,7 @@ from gridstore.model import (
     Scenario,
     StrategyProfile,
 )
-from gridstore.pt import _contested
+from gridstore.pt import _contested, _pt_value_vec
 from gridstore.solver import grid_best_response
 
 BENCH_PROSPECT = ProspectParams(r=11.5, lam=2.25, beta_plus=0.88, beta_minus=0.88)
@@ -118,6 +118,41 @@ def expected_utility_grid_cgt(
     return out
 
 
+def expected_pt_utility_grid(
+    own_alpha: np.ndarray | float,
+    opp_alpha: float,
+    q1: float,
+    q2max: float,
+    rho: float,
+    k: float,
+    lc: float,
+    pp: ProspectParams,
+) -> np.ndarray:
+    """Expected framed utility over a vector of own storage fractions.
+
+    The dense-grid reference for ``pt.expected_pt_utility_grid``: it builds
+    every term at every own fraction and gathers the contested ones by a
+    boolean mask, in the same operations and order as the package's split
+    evaluator, which must match it bit for bit.
+    """
+    a1 = np.atleast_1d(np.asarray(own_alpha, dtype=float))
+    u_lin = rho * q1 * (1.0 - a1) + k * q1 * a1
+    out = _pt_value_vec(u_lin, pp)
+    if opp_alpha > 0.0:
+        contested = a1 * q1 + opp_alpha * q2max > lc
+        if np.any(contested):
+            ac, u1, v1 = a1[contested], u_lin[contested], out[contested]
+            split = (lc - ac * q1) / opp_alpha
+            u_hi = rho * q1 * (1.0 - ac) + 0.5 * k * (ac * q1 + lc - opp_alpha * q2max)
+            m_g = -2.0 / ((pp.beta_plus + 1.0) * k * opp_alpha * q2max)
+            m_l = -2.0 * pp.lam / ((pp.beta_minus + 1.0) * k * opp_alpha * q2max)
+            r, bp1, bm1 = pp.r, pp.beta_plus + 1.0, pp.beta_minus + 1.0
+            gain = m_g * (np.maximum(u_hi - r, 0.0) ** bp1 - np.maximum(u1 - r, 0.0) ** bp1)
+            loss = m_l * (np.maximum(r - u_hi, 0.0) ** bm1 - np.maximum(r - u1, 0.0) ** bm1)
+            out[contested] = (split / q2max) * v1 + (gain + loss)
+    return out
+
+
 def random_profile(rng: random.Random) -> StrategyProfile:
     return StrategyProfile.of(rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0))
 
@@ -195,8 +230,9 @@ def contested_terms(profile: StrategyProfile, s: Scenario) -> ContestedTerms:
     pp = s.prospect[0]
     a1, a2 = profile
     q1, q2max, rho, k, lc = s.duel(0)
-    u1 = rho * q1 * (1.0 - a1) + k * q1 * a1
-    split, u_hi, m_g, m_l = _contested(a1, a2, q1, q2max, rho, k, lc, pp)
+    keep = rho * q1 * (1.0 - a1)
+    u1 = keep + k * q1 * a1
+    split, u_hi, m_g, m_l = _contested(keep, a1 * q1, a2, q2max, k, lc, pp)
     if u_hi > pp.r:
         branch = "AllGain"
     elif u1 < pp.r:

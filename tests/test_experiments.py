@@ -26,6 +26,7 @@ from gridstore import (
     write_required_price_csv,
     write_sweep_csv,
 )
+from gridstore import experiments
 from gridstore.errors import NoCoveragePrice
 
 from helpers import covering_kind
@@ -188,6 +189,23 @@ def test_covering_price_reference_shift_reverses_at_unit_loss_aversion():
     diffs = [h.rho_c_star - l.rho_c_star for h, l in zip(hi, lo)]
     assert diffs[0] == pytest.approx(-0.02, abs=1e-9)
     assert diffs[1] >= 0.15
+
+
+def test_covering_price_search_solves_each_price_once(monkeypatch):
+    # At lam = 1 the ascending walk solves the covering price 11.28 before
+    # the row is built from it.
+    prices = []
+    real = experiments.iterate_best_response
+
+    def counted(scenario, *args, **kwargs):
+        prices.append(scenario.grid.rho_c)
+        return real(scenario, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "iterate_best_response", counted)
+    row = required_emergency_price(default_scenario(), lambda_values=(1.0,))[0]
+    assert row.rho_c_star == 11.28
+    assert row.rho_c_star in prices
+    assert len(prices) == len(set(prices))
 
 
 def test_covering_price_search_reports_unreachable_target():

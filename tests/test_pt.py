@@ -15,6 +15,7 @@ import math
 import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -31,7 +32,9 @@ from gridstore.pt import (
     expected_pt_utility_grid,
     expected_pt_utility_scalar,
     expected_pt_utility_slope,
+    grid_own_terms,
 )
+from gridstore.solver import _UNIT_GRID
 
 from helpers import (
     BENCH_PROSPECT,
@@ -42,6 +45,7 @@ from helpers import (
     framed_region_draw,
     random_scenario,
 )
+from helpers import expected_pt_utility_grid as dense_pt_utility_grid
 
 CGT_AT_INTERIOR_BR = 13.13103448275844
 FEASIBLE_CELLS = ((True, "AllGain"), (True, "Mixed"), (False, "AllLoss"))
@@ -229,9 +233,39 @@ def test_scalar_and_grid_evaluators_agree():
     # Not bit for bit: the grid's NumPy power may differ from libm's in
     # the last place.
     for s, (a1, a2) in _twin_cases():
-        args = (a2, *s.duel(0), s.prospect[0])
-        grid = float(expected_pt_utility_grid(a1, *args)[0])
-        assert expected_pt_utility_scalar(a1, *args) == pytest.approx(grid, rel=1e-12)
+        q1, q2max, rho, k, lc = s.duel(0)
+        pp = s.prospect[0]
+        own = grid_own_terms(np.array([a1]), q1, rho, k, pp)
+        grid = float(expected_pt_utility_grid(own, a2, q2max, k, lc, pp)[0])
+        scalar = expected_pt_utility_scalar(a1, a2, q1, q2max, rho, k, lc, pp)
+        assert scalar == pytest.approx(grid, rel=1e-12)
+
+
+def _bits(values: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
+
+
+def test_split_grid_evaluator_matches_the_dense_reference_bit_for_bit():
+    # The split evaluator builds the own-side terms once and evaluates only
+    # the contested suffix of the scan grid; the dense reference builds
+    # every term at every point and gathers the contested ones by a mask.
+    suffixes = set()
+    for want_gain, want_branch in FEASIBLE_CELLS:
+        rng = random.Random(f"split-{want_branch}")
+        for _ in range(10):
+            s, (_, a2) = framed_region_draw(rng, want_gain, want_branch)
+            q1, q2max, rho, k, lc = s.duel(0)
+            pp = s.prospect[0]
+            own = grid_own_terms(_UNIT_GRID, q1, rho, k, pp)
+            # The drawn fraction, an idle opponent, a full one, and one
+            # that contests no own fraction at all.
+            for opp in (a2, 0.0, 1.0, 0.5 * max(0.0, (lc - q1) / q2max)):
+                split = expected_pt_utility_grid(own, opp, q2max, k, lc, pp)
+                dense = dense_pt_utility_grid(_UNIT_GRID, opp, q1, q2max, rho, k, lc, pp)
+                assert np.array_equal(_bits(split), _bits(dense))
+                contested = _UNIT_GRID * q1 + opp * q2max > lc
+                suffixes.add("none" if not contested.any() else "all" if contested.all() else "part")
+    assert suffixes >= {"none", "part"}
 
 
 def test_framed_value_continuous_at_trimming_onset():

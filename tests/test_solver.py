@@ -216,6 +216,46 @@ def test_iteration_is_deterministic():
     assert a.iterations == b.iterations
 
 
+def test_cached_scan_terms_change_no_result():
+    s = framed_benchmark()
+    solver._unit_grid_terms.cache_clear()
+    cold = iterate_best_response(s)
+    warm = iterate_best_response(s)
+    # Two distinct framed players fill both cache entries and evict s's.
+    other = benchmark_scenario(prospect=(replace(BENCH_PROSPECT, r=13.0), BENCH_PROSPECT))
+    iterate_best_response(other)
+    assert solver._unit_grid_terms.cache_info().currsize == 2
+    after = iterate_best_response(s)
+    assert cold == warm == after
+
+
+def test_cached_scan_terms_are_read_only():
+    s = framed_benchmark()
+    q1, _, rho, k, _ = s.duel(0)
+    for term in solver._unit_grid_terms(q1, rho, k, s.prospect[0]):
+        with pytest.raises(ValueError):
+            term[0] = 0.0
+
+
+def test_a_solve_reuses_its_repeated_best_responses(monkeypatch):
+    # A covering-price row at lam = 1 that settles one-sided in 2 rounds:
+    # round 2 asks both players the same questions as round 1.
+    s = default_scenario(lam=1.0)
+    s = replace(s, grid=replace(s.grid, rho_c=11.28))
+    calls = []
+    real = solver.grid_best_response
+
+    def counted(player, opponent_alpha, scenario):
+        calls.append((player, opponent_alpha))
+        return real(player, opponent_alpha, scenario)
+
+    monkeypatch.setattr(solver, "grid_best_response", counted)
+    res = iterate_best_response(s)
+    assert res.converged and res.iterations == 2
+    assert max(res.profile) == 1.0
+    assert len(calls) == len(set(calls)) == 2
+
+
 def mutual_residual(s, profile) -> float:
     """Largest distance of a player's fraction from its best response to the other's."""
     gaps = []
