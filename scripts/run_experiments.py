@@ -10,12 +10,11 @@ and the asymmetric game over references 5..25 step 0.5.
 import argparse
 from pathlib import Path
 
-import numpy as np
-
 from gridstore.experiments import (
     SweepSpec,
     asymmetric_equilibrium,
     default_scenario,
+    inclusive_grid,
     max_deviation_by_price,
     required_emergency_price,
     sweep_emergency_price,
@@ -31,7 +30,7 @@ def reference_sweep(out_dir: Path) -> None:
     spec = SweepSpec(
         base=default_scenario(),
         swept_parameter="reference_point",
-        values=tuple(np.arange(5.0, 16.0 + 1e-9, 0.25)),
+        values=inclusive_grid(5.0, 16.0, 0.25),
     )
     rows = sweep_reference_point(spec)
     path = write_sweep_csv(rows, out_dir / "reference_sweep.csv")
@@ -50,7 +49,7 @@ def price_sensitivity(out_dir: Path) -> None:
         base=default_scenario(lam=4.0),
         swept_parameter="emergency_price",
         values=(10.2, 11.0, 12.0),
-        reference_values=tuple(np.arange(5.0, 16.0 + 1e-9, 0.25)),
+        reference_values=inclusive_grid(5.0, 16.0, 0.25),
     )
     rows = sweep_emergency_price(spec)
     path = write_sweep_csv(rows, out_dir / "price_sensitivity.csv")
@@ -60,7 +59,7 @@ def price_sensitivity(out_dir: Path) -> None:
 
 
 def coverage_price(out_dir: Path) -> None:
-    lams = tuple(np.arange(1.0, 4.0 + 1e-9, 0.5))
+    lams = inclusive_grid(1.0, 4.0, 0.5)
     for reference in (11.5, 12.5):
         rows = required_emergency_price(default_scenario(reference=reference), lams)
         path = out_dir / f"coverage_price_R{reference:g}.csv"
@@ -71,9 +70,7 @@ def coverage_price(out_dir: Path) -> None:
 
 
 def asymmetric(out_dir: Path) -> None:
-    rows = asymmetric_equilibrium(
-        default_scenario(), tuple(np.arange(5.0, 25.0 + 1e-9, 0.5))
-    )
+    rows = asymmetric_equilibrium(default_scenario(), inclusive_grid(5.0, 25.0, 0.5))
     path = out_dir / "asymmetric.csv"
     write_sweep_csv(rows, path)
     print(f"asymmetric game -> {path}")

@@ -5,7 +5,8 @@ independent numerical oracles to check them, and the parameter sweeps
 built on top.
 
 Every export is loaded from its module on first use (PEP 562), so the
-rational game and validation never import the framed solver or NumPy.
+rational game and validation never import the framed solver.  The
+package runs on plain floats; only the quadrature oracle needs SciPy.
 """
 
 import importlib

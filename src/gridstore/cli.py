@@ -14,8 +14,8 @@ price) or a result that overflows floating point: every number a
 command prints or writes is checked to be finite first (``enumerate``'s
 candidates are finite by construction).
 
-Only ``solve-pt``, ``sweep`` and ``find-price`` import the framed solver,
-and with it NumPy; the other commands run on plain floats.
+Only ``solve-pt``, ``sweep`` and ``find-price`` import the framed solver.
+Every command runs on plain Python floats.
 """
 
 from __future__ import annotations
@@ -43,10 +43,6 @@ _SWEEP_PARAMS = {
     "emergency-price": "emergency_price",
     "reference-point-asymmetric": "reference_point_asymmetric",
 }
-
-
-# Largest number of values a --from/--to/--step grid may hold.
-_MAX_GRID_VALUES = 10_000
 
 
 class _CliError(Exception):
@@ -97,21 +93,20 @@ def _scenario_from_args(args: argparse.Namespace) -> Scenario:
 
 
 def _inclusive_grid(lo: float, hi: float, step: float) -> tuple[float, ...]:
+    from .experiments import MAX_GRID_VALUES, inclusive_grid
+
     if not all(math.isfinite(x) for x in (lo, hi, step)):
         raise _CliError("--from, --to and --step must be finite")
     if step <= 0:
         raise _CliError("--step must be > 0")
     if hi < lo:
         raise _CliError("--to must be >= --from")
-    span = (hi - lo) / step + 1e-9
-    # Checked before building, so a tiny step cannot exhaust memory.
-    if not span < _MAX_GRID_VALUES:
+    try:
+        return inclusive_grid(lo, hi, step)
+    except ValueError as exc:
         raise _CliError(
-            f"--from, --to and --step give more than {_MAX_GRID_VALUES} grid values"
-        )
-    count = int(math.floor(span))
-    # Rounding keeps swept values clean of accumulated float dust.
-    return tuple(round(lo + i * step, 12) for i in range(count + 1))
+            f"--from, --to and --step give more than {MAX_GRID_VALUES} grid values"
+        ) from exc
 
 
 # --- subcommand handlers -----------------------------------------------

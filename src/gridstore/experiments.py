@@ -77,6 +77,19 @@ SWEPT_PARAMETERS = (
 
 # Step of the covering-price search: candidates are whole cents.
 PRICE_STEP = 0.01
+MAX_GRID_VALUES = 10_000
+
+
+def inclusive_grid(lo: float, hi: float, step: float) -> tuple[float, ...]:
+    """``lo``, ``lo + step``, ... through ``hi`` (``step > 0``, ``hi >= lo``), rounded to 12 digits.
+
+    A last value within 1e-9 of a step past ``hi`` is kept.  More than
+    ``MAX_GRID_VALUES`` raise ``ValueError`` before any is built.
+    """
+    span = (hi - lo) / step + 1e-9
+    if not span < MAX_GRID_VALUES:
+        raise ValueError(f"more than {MAX_GRID_VALUES} grid values")
+    return tuple(round(lo + i * step, 12) for i in range(int(span) + 1))
 
 
 def default_scenario(

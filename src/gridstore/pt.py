@@ -7,15 +7,33 @@ expected framed utility against a uniform opponent type still splits
 into an uncontested part (a point mass in utility space) and a contested
 integral, which takes the antiderivative of each value segment, gain and
 loss, between the untrimmed utility and the trimmed one at the largest
-opponent surplus.  Terms of the own fraction alone are computed once, so a
-grid of own fractions can be scored against many opponent fractions.
+opponent surplus.  Everything runs on plain floats.
+
+For a fixed opponent fraction ``a2``, ``utility_breakpoints`` cut the own
+fractions [0, 1] into pieces on each of which the slope is quasi-convex:
+it falls, rises, or falls and then rises.  With ``c = q1*(k - rho) > 0``
+and ``e = q1*(k/2 - rho)`` the rates of ``u1`` and ``u_hi`` in ``a1``, the
+curvature (``expected_pt_utility_curvature``) is ``c**2 v''(u1)``
+uncontested, and contested::
+
+    (split * c**2 v''(u1) - 2/(k*a2) * (rho*q1*c v'(u1) + e**2 v'(u_hi))) / q2max
+
+where ``v' > 0`` and ``v''`` has the sign of ``r - u1`` (``beta <= 1``).
+Uncontested, the slope falls on gains and rises on losses.  Contested
+with ``u1 > r`` every term is at most 0 and one is negative, so the slope
+falls, across ``u_hi = r`` too.  Contested with ``u1 < r``, times
+``q2max/(lam*beta*X**(beta - 1))`` (``X = r - u1``) the curvature is
+``(1 - beta)*c**2 * split/X`` minus a constant minus a positive multiple
+of ``(1 + (k*a2/2) * (q2max - split)/X)**(beta - 1)``.  That power falls
+as ``a1`` grows, and ``split/X`` (a ratio of affine functions) rises
+whenever ``r <= u1(lc/q1)``, so the curvature changes sign at most once,
+from - to + (at ``beta = 1`` it keeps one sign).  A higher reference is
+covered by sampling in the property test of ``tests/test_solver.py``.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
 
 from .errors import MissingProspectParams
 from .model import ProspectParams, Scenario, StrategyProfile
@@ -37,16 +55,6 @@ def pt_value(u: float, p: ProspectParams) -> float:
     return 0.0
 
 
-def _pt_value_vec(u: np.ndarray, p: ProspectParams) -> np.ndarray:
-    d = u - p.r
-    out = np.zeros_like(d)
-    gain = d > 0.0
-    loss = d < 0.0
-    out[gain] = d[gain] ** p.beta_plus
-    out[loss] = -p.lam * (-d[loss]) ** p.beta_minus
-    return out
-
-
 def _require_framed(player: int, s: Scenario) -> ProspectParams:
     p = s.prospect[player]
     if p is None:
@@ -54,28 +62,13 @@ def _require_framed(player: int, s: Scenario) -> ProspectParams:
     return p
 
 
-def _own_terms(a1, q1, rho, k, pp: ProspectParams, value, clamp):
-    """Terms the opponent leaves alone, for a float or an array of own fractions ``a1``.
-
-    ``(keep, stored, v1, g1, l1)``: the sale value ``rho*q1*(1 - a1)``, the
-    stored energy ``a1*q1``, the framed value of the untrimmed utility (by
-    ``value``), and the gain and loss antiderivative bases at that utility.
-    """
-    keep, stored = rho * q1 * (1.0 - a1), a1 * q1
-    u1 = keep + k * q1 * a1
-    g1 = clamp(u1 - pp.r, 0.0) ** (pp.beta_plus + 1.0)
-    l1 = clamp(pp.r - u1, 0.0) ** (pp.beta_minus + 1.0)
-    return keep, stored, value(u1, pp), g1, l1
-
-
 def _contested(keep, stored, a2, q2max, k, lc, pp: ProspectParams):
-    """Geometry of the contested region, from own terms that are floats or arrays.
+    """Contested geometry from the own sale value ``keep`` and stored energy.
 
-    Returns ``(split, u_hi, m_g, m_l)``: the opponent surplus where
-    trimming starts, the trimmed utility at the largest opponent surplus,
-    and the gain/loss antiderivative coefficients carrying the uniform
-    belief density.  The trimmed utility is linear and decreasing in the
-    opponent surplus, which gives all of them in closed form.
+    ``(split, u_hi, m_g, m_l)``: the opponent surplus where trimming
+    starts, the trimmed utility at the largest opponent surplus, and the
+    gain/loss antiderivative coefficients carrying the uniform belief
+    density.  The trimmed utility is linear in the opponent surplus.
     """
     split = (lc - stored) / a2
     u_hi = keep + 0.5 * k * (stored + lc - a2 * q2max)
@@ -84,50 +77,25 @@ def _contested(keep, stored, a2, q2max, k, lc, pp: ProspectParams):
     return split, u_hi, m_g, m_l
 
 
-def _contested_expectation(own, a2, q2max, k, lc, pp: ProspectParams, clamp):
-    """Expected framed utility of contested own fractions, from their ``_own_terms``.
-
-    ``v1`` holds for the opponent types below the split.  Past it the
-    trimmed utility falls linearly from the untrimmed ``u1`` to ``u_hi``, so
-    each value segment integrates to its antiderivative between the two.  A
-    segment the utility never enters has both bases exactly 0.  ``clamp`` is
-    ``max`` for floats and ``np.maximum`` for arrays.
-    """
-    keep, stored, v1, g1, l1 = own
-    split, u_hi, m_g, m_l = _contested(keep, stored, a2, q2max, k, lc, pp)
-    r, bp1, bm1 = pp.r, pp.beta_plus + 1.0, pp.beta_minus + 1.0
-    gain = m_g * (clamp(u_hi - r, 0.0) ** bp1 - g1)
-    loss = m_l * (clamp(r - u_hi, 0.0) ** bm1 - l1)
-    return (split / q2max) * v1 + (gain + loss)
-
-
-def grid_own_terms(a1: np.ndarray, q1, rho, k, pp: ProspectParams) -> tuple[np.ndarray, ...]:
-    """``_own_terms`` over an ascending array of own fractions."""
-    return _own_terms(a1, q1, rho, k, pp, _pt_value_vec, np.maximum)
-
-
-def expected_pt_utility_grid(own, opp_alpha: float, q2max, k, lc, pp: ProspectParams) -> np.ndarray:
-    """Expected framed utility over the ascending own fractions ``own`` was built on.
-
-    Trimming starts where ``a1*q1 + opp_alpha*q2max`` passes the critical
-    load, which is monotone in ``a1``, so only that suffix is contested.
-    """
-    _, stored, v1, _, _ = own
-    out, n = v1.copy(), len(v1)
-    i = int(np.searchsorted(stored + opp_alpha * q2max, lc, side="right")) if opp_alpha > 0.0 else n
-    if i < n:
-        tail = tuple(term[i:] for term in own)  # views of the contested suffix
-        out[i:] = _contested_expectation(tail, opp_alpha, q2max, k, lc, pp, np.maximum)
-    return out
-
-
 def expected_pt_utility_scalar(a1, a2, q1, q2max, rho, k, lc, pp: ProspectParams) -> float:
-    """Plain-float twin of the grid evaluator, for tight refinement loops."""
-    own = _own_terms(a1, q1, rho, k, pp, pt_value, max)
-    _, stored, v1, _, _ = own
+    """Expected framed utility of the own fraction ``a1`` against the opponent's ``a2``.
+
+    The untrimmed utility's framed value ``v1`` holds for the opponent
+    types below the split.  Past it the trimmed utility falls linearly
+    from the untrimmed ``u1`` to ``u_hi``, so each value segment, gain and
+    loss, integrates to its antiderivative between the two.  A segment
+    the utility never enters has both bases exactly 0.
+    """
+    keep, stored = rho * q1 * (1.0 - a1), a1 * q1
+    u1 = keep + k * q1 * a1
+    v1 = pt_value(u1, pp)
     if a2 <= 0.0 or stored + a2 * q2max <= lc:
         return v1
-    return _contested_expectation(own, a2, q2max, k, lc, pp, max)
+    split, u_hi, m_g, m_l = _contested(keep, stored, a2, q2max, k, lc, pp)
+    r, bp1, bm1 = pp.r, pp.beta_plus + 1.0, pp.beta_minus + 1.0
+    gain = m_g * (max(u_hi - r, 0.0) ** bp1 - max(u1 - r, 0.0) ** bp1)
+    loss = m_l * (max(r - u_hi, 0.0) ** bm1 - max(r - u1, 0.0) ** bm1)
+    return (split / q2max) * v1 + (gain + loss)
 
 
 def _pt_value_slope(u: float, p: ProspectParams) -> float:
@@ -158,15 +126,44 @@ def expected_pt_utility_slope(a1, a2, q1, q2max, rho, k, lc, pp: ProspectParams)
     return (split / q2max) * own + drift * (pt_value(u1, pp) - pt_value(u_hi, pp))
 
 
-def expected_pt_utility(player: int, profile: StrategyProfile, s: Scenario) -> float:
-    """Closed-form expected framed utility of ``player``.
+def _pt_value_curvature(u: float, p: ProspectParams) -> float:
+    """Second derivative of ``pt_value`` off the reference; 0 at it."""
+    d = u - p.r
+    if d > 0.0:
+        return p.beta_plus * (p.beta_plus - 1.0) * d ** (p.beta_plus - 2.0)
+    if d < 0.0:
+        return p.lam * p.beta_minus * (1.0 - p.beta_minus) * (-d) ** (p.beta_minus - 2.0)
+    return 0.0
 
-    Uncontested profiles collapse to the framed value of a deterministic
-    utility; contested ones add the trimmed-region integral, split into
-    gain and loss segments at the reference crossing.
+
+def expected_pt_utility_curvature(a1, a2, q1, q2max, rho, k, lc, pp: ProspectParams) -> float:
+    """Derivative of ``expected_pt_utility_slope`` in ``a1`` (module docstring).
+
+    It jumps at the contested boundary, and is -inf (right) and +inf
+    (left) where ``u1`` meets a curved reference: read it inside a piece.
     """
+    c = q1 * (k - rho)
+    u1 = rho * q1 * (1.0 - a1) + k * q1 * a1
+    own = c * c * _pt_value_curvature(u1, pp)
+    if a2 <= 0.0 or a1 * q1 + a2 * q2max <= lc:
+        return own
+    split, u_hi, _, _ = _contested(rho * q1 * (1.0 - a1), a1 * q1, a2, q2max, k, lc, pp)
+    e = q1 * (0.5 * k - rho)
+    pull = rho * q1 * c * _pt_value_slope(u1, pp) + e * e * _pt_value_slope(u_hi, pp)
+    return (split * own - 2.0 * pull / (k * a2)) / q2max
+
+
+def utility_breakpoints(a2, q1, q2max, rho, k, lc, pp: ProspectParams) -> list[float]:
+    """Own fractions in (0, 1) that cut the slope into quasi-convex pieces, ascending.
+
+    The contested boundary (the curvature jumps) and where ``u1`` meets the
+    reference (the slope jumps or is infinite); a crossing at rate 0 has none.
+    """
+    crossings = ((lc - a2 * q2max, q1), (pp.r - rho * q1, q1 * (k - rho)))
+    return sorted({x / rate for x, rate in crossings if rate != 0.0 and 0.0 < x / rate < 1.0})
+
+
+def expected_pt_utility(player: int, profile: StrategyProfile, s: Scenario) -> float:
+    """Closed-form expected framed utility of ``player`` at ``profile``."""
     pp = _require_framed(player, s)
-    a1, a2 = profile[player], profile[1 - player]
-    q1, q2max, rho, k, lc = s.duel(player)
-    own = grid_own_terms(np.array([a1], dtype=float), q1, rho, k, pp)
-    return float(expected_pt_utility_grid(own, a2, q2max, k, lc, pp)[0])
+    return expected_pt_utility_scalar(profile[player], profile[1 - player], *s.duel(player), pp)

@@ -3,30 +3,27 @@
 The quadrature oracle integrates the ex-post utility (optionally framed)
 over the opponent's uniform type directly, so it shares no algebra with
 the closed forms it is used to check.  Only tests and the benchmark call
-it, so it imports ``scipy.integrate`` on its first call rather than with
-this module.  The framed best response scans the closed form for its
-basin and takes the root of its analytic slope there; the iteration
-solver alternates best responses, with Aitken steps, to a fixed point.
+it, so it imports ``scipy.integrate`` (the ``test`` extra) on its first
+call rather than with this module.  The framed best response takes the
+roots of the closed form's analytic slope; the iteration solver
+alternates best responses, with Aitken steps, to a fixed point.  All
+but the oracle runs on plain floats.
 
-The numerics are fixed: a 1e-3 scan grid (``GRID_STEP``), a 1e-12
-fixed-point tolerance (``TOL``), a 200-round guard (``MAX_ROUNDS``), a
-1e-5 match to a rational BNE (``CLASSIFY_TOL``) and a 1e-10 relative
-quadrature tolerance (``QUAD_REL_TOL``).
+The numerics are fixed: a 1e-12 fixed-point tolerance (``TOL``), a
+200-round guard (``MAX_ROUNDS``), a 1e-5 match to a rational BNE
+(``CLASSIFY_TOL``) and a 1e-10 relative quadrature tolerance
+(``QUAD_REL_TOL``).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import Callable
-
-import numpy as np
 
 from . import cgt, pt
 from .model import Scenario, StrategyProfile, realized_utility
 
 __all__ = [
-    "GRID_STEP",
     "TOL",
     "MAX_ROUNDS",
     "CLASSIFY_TOL",
@@ -36,26 +33,11 @@ __all__ = [
     "iterate_best_response",
 ]
 
-GRID_STEP = 1e-3
 TOL = 1e-12
 MAX_ROUNDS = 200
 QUAD_REL_TOL = 1e-10
 CLASSIFY_TOL = 1e-5
-_ROOT_XTOL, _ROOT_STEPS = 1e-14, 100  # slope root: bracket width, step limit
-
-# The basin scan: [0, 1] in steps of GRID_STEP.
-_UNIT_GRID = np.linspace(0.0, 1.0, round(1.0 / GRID_STEP) + 1)
-_UNIT_GRID.flags.writeable = False
-
-
-@functools.lru_cache(maxsize=2)
-def _unit_grid_terms(q1, rho, k, pp) -> tuple[np.ndarray, ...]:
-    """``pt`` own-side terms over the scan grid for one player's parameters, read-only."""
-    terms = pt.grid_own_terms(_UNIT_GRID, q1, rho, k, pp)
-    for term in terms:
-        term.flags.writeable = False
-    return terms
-
+_ROOT_XTOL, _ROOT_STEPS = 1e-14, 100  # root finder: bracket width, step limit
 
 # ---------------------------------------------------------------------------
 # quadrature oracle
@@ -129,8 +111,8 @@ def quadrature_expected_utility(
 # ---------------------------------------------------------------------------
 
 
-def _slope_root(slope: Callable[[float], float], lo, hi, f_lo, f_hi) -> float:
-    """Root of ``slope`` falling from ``f_lo > 0`` at ``lo`` to ``f_hi < 0`` at ``hi``.
+def _falling_root(f: Callable[[float], float], lo, hi, f_lo, f_hi) -> float:
+    """Root of ``f`` falling from ``f_lo > 0`` at ``lo`` to ``f_hi < 0`` at ``hi``.
 
     Illinois false position; a step outside the bracket bisects instead.
     """
@@ -141,7 +123,7 @@ def _slope_root(slope: Callable[[float], float], lo, hi, f_lo, f_hi) -> float:
         x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
         if not lo < x < hi:
             x = 0.5 * (lo + hi)
-        fx = slope(x)
+        fx = f(x)
         if fx > 0.0:
             lo, f_lo, f_hi = x, fx, f_hi * (0.5 if side > 0 else 1.0)
             side = 1
@@ -152,35 +134,48 @@ def _slope_root(slope: Callable[[float], float], lo, hi, f_lo, f_hi) -> float:
 
 
 def grid_best_response(player: int, opponent_alpha: float, s: Scenario) -> float:
-    """Argmax of the framed closed-form expected utility.
+    """Argmax of the framed closed-form expected utility over the own fraction.
 
-    A scan in steps of ``GRID_STEP`` picks the basin (ties break toward
-    the smaller fraction).  If the utility's slope changes sign over the
-    step from the winner to the neighbour it points at (0 and 1 included),
-    its root is the answer, kept only if it does not score below the winner.
+    [0, 1] is cut at ``pt.utility_breakpoints``, where slope or curvature
+    jump or blow up, so each piece is read 2**-30 of its width inside its
+    ends.  The slope falls, rises, or falls and then rises on a piece (the
+    ``pt`` docstring), so every maximum is a root where the slope goes
+    from + to - between two reads (across a cut, a kink), or left of the
+    slope's minimum, a root of the curvature, when the slope dips below 0
+    there.  The best-scoring of 0, 1 and those roots wins, the smaller on
+    a tie; a score that is not finite raises ``FloatingPointError``.
     """
     pp = pt._require_framed(player, s)
     q1, q2max, rho, k, lc = s.duel(player)
-    a2 = float(opponent_alpha)
-    args = (a2, q1, q2max, rho, k, lc, pp)
-    scan = pt.expected_pt_utility_grid(_unit_grid_terms(q1, rho, k, pp), a2, q2max, k, lc, pp)
-    i = int(np.argmax(scan))
-    best = float(_UNIT_GRID[i])
+    args = (float(opponent_alpha), q1, q2max, rho, k, lc, pp)
 
     def slope(a1: float) -> float:
         return pt.expected_pt_utility_slope(a1, *args)
 
-    f_best = slope(best)
-    j = i + 1 if f_best > 0.0 else i - 1
-    if f_best == 0.0 or not 0 <= j < len(_UNIT_GRID):
-        return best
-    other = float(_UNIT_GRID[j])
-    (lo, f_lo), (hi, f_hi) = sorted([(best, f_best), (other, slope(other))])
-    if not f_lo > 0.0 > f_hi:
-        return best
-    root = _slope_root(slope, lo, hi, f_lo, f_hi)
-    utility = pt.expected_pt_utility_scalar
-    return root if utility(root, *args) >= utility(best, *args) else best
+    def fall(a1: float) -> float:
+        return -pt.expected_pt_utility_curvature(a1, *args)
+
+    cuts = [0.0, *pt.utility_breakpoints(*args), 1.0]
+    probes = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        inset = (hi - lo) * 2.0**-30
+        probes += [lo + inset, hi - inset]
+    slopes = [slope(a) for a in probes]
+    candidates = [0.0, 1.0]
+    # Even steps span a piece, odd ones a cut.
+    for i, (lo, hi, f_lo, f_hi) in enumerate(zip(probes, probes[1:], slopes, slopes[1:])):
+        if i % 2 == 0 and f_lo > 0.0 and f_hi > 0.0:
+            c_lo, c_hi = fall(lo), fall(hi)
+            if not c_lo > 0.0 > c_hi:
+                continue
+            hi = _falling_root(fall, lo, hi, c_lo, c_hi)
+            f_hi = slope(hi)
+        if f_lo > 0.0 > f_hi:
+            candidates.append(_falling_root(slope, lo, hi, f_lo, f_hi))
+    scored = [(pt.expected_pt_utility_scalar(a, *args), a) for a in sorted(candidates)]
+    if not all(math.isfinite(u) for u, _ in scored):
+        raise FloatingPointError("framed utility is not finite")
+    return max(scored, key=lambda pair: pair[0])[1]
 
 
 # ---------------------------------------------------------------------------
@@ -202,9 +197,6 @@ def _aitken(x0: float, x1: float, x2: float) -> float | None:
     return limit if 0.0 <= limit <= 1.0 else None
 
 
-# An overflow in the framed closed form raises FloatingPointError rather
-# than steering the grid argmax with inf or NaN.
-@np.errstate(over="raise", invalid="raise")
 def iterate_best_response(
     s: Scenario,
     initial: StrategyProfile | None = None,

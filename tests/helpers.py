@@ -15,10 +15,15 @@ from gridstore.model import (
     Scenario,
     StrategyProfile,
 )
-from gridstore.pt import _contested, _pt_value_vec
+from gridstore.pt import _contested
 from gridstore.solver import grid_best_response
 
 BENCH_PROSPECT = ProspectParams(r=11.5, lam=2.25, beta_plus=0.88, beta_minus=0.88)
+# The only (uncontested sign, contested branch) cells a valid contested
+# profile can produce; the other three are geometrically empty because
+# the contested segment starts at the uncontested utility, which is the
+# maximum over opponent types.
+FEASIBLE_CELLS = ((True, "AllGain"), (True, "Mixed"), (False, "AllLoss"))
 
 
 def benchmark_scenario(
@@ -118,6 +123,16 @@ def expected_utility_grid_cgt(
     return out
 
 
+def _pt_value_vec(u: np.ndarray, p: ProspectParams) -> np.ndarray:
+    d = u - p.r
+    out = np.zeros_like(d)
+    gain = d > 0.0
+    loss = d < 0.0
+    out[gain] = d[gain] ** p.beta_plus
+    out[loss] = -p.lam * (-d[loss]) ** p.beta_minus
+    return out
+
+
 def expected_pt_utility_grid(
     own_alpha: np.ndarray | float,
     opp_alpha: float,
@@ -130,10 +145,9 @@ def expected_pt_utility_grid(
 ) -> np.ndarray:
     """Expected framed utility over a vector of own storage fractions.
 
-    The dense-grid reference for ``pt.expected_pt_utility_grid``: it builds
-    every term at every own fraction and gathers the contested ones by a
-    boolean mask, in the same operations and order as the package's split
-    evaluator, which must match it bit for bit.
+    The dense-grid reference for the package's plain-float evaluator: it
+    builds every term at every own fraction and gathers the contested ones
+    by a boolean mask.
     """
     a1 = np.atleast_1d(np.asarray(own_alpha, dtype=float))
     u_lin = rho * q1 * (1.0 - a1) + k * q1 * a1
@@ -151,6 +165,38 @@ def expected_pt_utility_grid(
             loss = m_l * (np.maximum(r - u_hi, 0.0) ** bm1 - np.maximum(r - u1, 0.0) ** bm1)
             out[contested] = (split / q2max) * v1 + (gain + loss)
     return out
+
+
+def dense_framed_argmax(player: int, opp_alpha: float, s: Scenario, points: int = 10_001) -> float:
+    """Best own fraction of the mask-based reference: a dense scan, refined.
+
+    Shares nothing with the solver's breakpoints or slope.  The scan's
+    best point and its two neighbours bracket a maximum, which a bounded
+    golden-section search of the same reference closes in on; the better
+    of the scanned and the refined point is returned.
+    """
+    q1, q2max, rho, k, lc = s.duel(player)
+    pp = s.prospect[player]
+
+    def utility(a):
+        return expected_pt_utility_grid(a, opp_alpha, q1, q2max, rho, k, lc, pp)
+
+    grid = np.linspace(0.0, 1.0, points)
+    i = int(np.argmax(utility(grid)))
+    lo, hi = float(grid[max(i - 1, 0)]), float(grid[min(i + 1, points - 1)])
+    shrink = (np.sqrt(5.0) - 1.0) / 2.0
+    x1, x2 = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
+    u1, u2 = float(utility(x1)[0]), float(utility(x2)[0])
+    while hi - lo > 1e-15:
+        if u1 >= u2:
+            hi, x2, u2 = x2, x1, u1
+            x1 = hi - shrink * (hi - lo)
+            u1 = float(utility(x1)[0])
+        else:
+            lo, x1, u1 = x1, x2, u2
+            x2 = lo + shrink * (hi - lo)
+            u2 = float(utility(x2)[0])
+    return max((float(grid[i]), 0.5 * (lo + hi)), key=lambda a: float(utility(a)[0]))
 
 
 def random_profile(rng: random.Random) -> StrategyProfile:

@@ -40,6 +40,7 @@ from gridstore import (
 )
 
 from helpers import (
+    FEASIBLE_CELLS,
     covering_kind,
     expected_utility_grid_cgt,
     framed_region_draw,
@@ -51,12 +52,6 @@ from helpers import (
 
 MODULE_T0 = time.perf_counter()
 CONFIG = str(Path(__file__).resolve().parent.parent / "configs" / "defaults.json")
-
-# The only (uncontested sign, contested branch) cells a valid contested
-# profile can produce; the other three are geometrically empty because
-# the contested segment starts at the uncontested utility, which is the
-# maximum over opponent types.
-FEASIBLE_CELLS = ((True, "AllGain"), (True, "Mixed"), (False, "AllLoss"))
 
 REFERENCE_GRID = tuple(5.0 + 0.25 * i for i in range(45))  # 5..16
 

@@ -508,6 +508,8 @@ _HUGE = [
         # Finite values that pass validation but overflow a utility.
         (["solve-pt", "--config", CONFIG, "--override", "grid.rho_c=1e300"], 4),
         (["solve-pt", "--config", CONFIG, "--override", "prospect.1.r=-1e300"], 4),
+        (["solve-pt", "--config", CONFIG, "--override", "prospect.0.lambda=1e308",
+          "--override", "prospect.0.r=100"], 4),
         (["solve-cgt", "--config", CONFIG, "--override", "grid.rho_c=1.7976931348623157e308"], 4),
         (["solve-cgt", "--config", CONFIG] + _HUGE, 4),
     ],

@@ -15,7 +15,6 @@ import math
 import random
 from dataclasses import replace
 
-import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -29,15 +28,15 @@ from gridstore import (
 )
 from gridstore.errors import MissingProspectParams
 from gridstore.pt import (
-    expected_pt_utility_grid,
+    expected_pt_utility_curvature,
     expected_pt_utility_scalar,
     expected_pt_utility_slope,
-    grid_own_terms,
+    utility_breakpoints,
 )
-from gridstore.solver import _UNIT_GRID
 
 from helpers import (
     BENCH_PROSPECT,
+    FEASIBLE_CELLS,
     benchmark_scenario,
     contested_profile,
     contested_terms,
@@ -48,7 +47,6 @@ from helpers import (
 from helpers import expected_pt_utility_grid as dense_pt_utility_grid
 
 CGT_AT_INTERIOR_BR = 13.13103448275844
-FEASIBLE_CELLS = ((True, "AllGain"), (True, "Mixed"), (False, "AllLoss"))
 
 
 def test_value_function_reference_examples():
@@ -230,42 +228,14 @@ def _twin_cases():
 
 
 def test_scalar_and_grid_evaluators_agree():
-    # Not bit for bit: the grid's NumPy power may differ from libm's in
-    # the last place.
+    # Not bit for bit: the reference's NumPy power may differ from libm's
+    # in the last place.
     for s, (a1, a2) in _twin_cases():
         q1, q2max, rho, k, lc = s.duel(0)
         pp = s.prospect[0]
-        own = grid_own_terms(np.array([a1]), q1, rho, k, pp)
-        grid = float(expected_pt_utility_grid(own, a2, q2max, k, lc, pp)[0])
+        dense = float(dense_pt_utility_grid(a1, a2, q1, q2max, rho, k, lc, pp)[0])
         scalar = expected_pt_utility_scalar(a1, a2, q1, q2max, rho, k, lc, pp)
-        assert scalar == pytest.approx(grid, rel=1e-12)
-
-
-def _bits(values: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
-
-
-def test_split_grid_evaluator_matches_the_dense_reference_bit_for_bit():
-    # The split evaluator builds the own-side terms once and evaluates only
-    # the contested suffix of the scan grid; the dense reference builds
-    # every term at every point and gathers the contested ones by a mask.
-    suffixes = set()
-    for want_gain, want_branch in FEASIBLE_CELLS:
-        rng = random.Random(f"split-{want_branch}")
-        for _ in range(10):
-            s, (_, a2) = framed_region_draw(rng, want_gain, want_branch)
-            q1, q2max, rho, k, lc = s.duel(0)
-            pp = s.prospect[0]
-            own = grid_own_terms(_UNIT_GRID, q1, rho, k, pp)
-            # The drawn fraction, an idle opponent, a full one, and one
-            # that contests no own fraction at all.
-            for opp in (a2, 0.0, 1.0, 0.5 * max(0.0, (lc - q1) / q2max)):
-                split = expected_pt_utility_grid(own, opp, q2max, k, lc, pp)
-                dense = dense_pt_utility_grid(_UNIT_GRID, opp, q1, q2max, rho, k, lc, pp)
-                assert np.array_equal(_bits(split), _bits(dense))
-                contested = _UNIT_GRID * q1 + opp * q2max > lc
-                suffixes.add("none" if not contested.any() else "all" if contested.all() else "part")
-    assert suffixes >= {"none", "part"}
+        assert scalar == pytest.approx(dense, rel=1e-12)
 
 
 def test_framed_value_continuous_at_trimming_onset():
@@ -340,3 +310,31 @@ def test_slope_is_infinite_where_utility_meets_a_curved_reference():
     for side in (-1.0, 1.0):
         near, far = _slope(s, a1 + side * 1e-12, 1.0), _slope(s, a1 + side * 1e-6, 1.0)
         assert math.isfinite(near) and near > far > 0.0
+
+
+def _curvature_cases():
+    """(scenario, a1, a2) per feasible branch cell, at unit and curved exponents."""
+    for want_gain, want_branch in FEASIBLE_CELLS:
+        rng = random.Random(f"curvature-{want_branch}")
+        for _ in range(8):
+            s, (a1, a2) = framed_region_draw(rng, want_gain, want_branch)
+            yield s, a1, a2
+            yield s, a1, 0.0
+            unit = replace(s.prospect[0], beta_plus=1.0, beta_minus=1.0)
+            yield replace(s, prospect=(unit, None)), a1, a2
+
+
+def test_curvature_matches_a_central_difference_of_the_slope():
+    checked = 0
+    for s, a1, a2 in _curvature_cases():
+        q1, q2max, rho, k, lc = s.duel(0)
+        pp = s.prospect[0]
+        h = 1e-6
+        # Away from every breakpoint, so the difference stays on one piece.
+        if min((abs(a1 - b) for b in utility_breakpoints(a2, q1, q2max, rho, k, lc, pp)), default=1.0) < 1e-3:
+            continue
+        up, down = _slope(s, a1 + h, a2), _slope(s, a1 - h, a2)
+        curvature = expected_pt_utility_curvature(a1, a2, q1, q2max, rho, k, lc, pp)
+        assert curvature == pytest.approx((up - down) / (2.0 * h), rel=1e-5, abs=1e-6 * max(1.0, abs(up)))
+        checked += 1
+    assert checked >= 40

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -15,7 +16,10 @@ import pytest
 
 import gridstore
 from gridstore import (
+    GridParams,
+    MicrogridConfig,
     ProspectParams,
+    Scenario,
     StrategyProfile,
     asymmetric_equilibrium,
     best_response_cgt,
@@ -29,10 +33,18 @@ from gridstore import (
     SweepSpec,
 )
 from gridstore import solver
-from gridstore.pt import expected_pt_utility_scalar
+from gridstore.experiments import inclusive_grid
+from gridstore.pt import expected_pt_utility_scalar, expected_pt_utility_slope, utility_breakpoints
 from gridstore.solver import TOL
 
-from helpers import BENCH_PROSPECT, benchmark_scenario, framed_benchmark
+from helpers import (
+    BENCH_PROSPECT,
+    FEASIBLE_CELLS,
+    benchmark_scenario,
+    dense_framed_argmax,
+    framed_benchmark,
+    framed_region_draw,
+)
 
 CONFIG = str(Path(__file__).resolve().parent.parent / "configs" / "defaults.json")
 INTERIOR_BR = 0.7614942528735631
@@ -68,11 +80,13 @@ EXPORTS = {
 }
 
 
-def test_package_and_cli_load_no_scipy_until_the_oracle_runs():
+def test_package_and_cli_load_no_scipy_until_the_oracle_runs(tmp_path):
     # A fresh interpreter, so modules other tests imported do not count.
-    # The rational commands must load neither NumPy nor SciPy; resolving
-    # every export afterwards loads the framed solver, still without SciPy.
+    # The rational commands must load neither NumPy nor SciPy.  The framed
+    # commands and every export load the framed solver, still without
+    # NumPy; only the quadrature oracle brings in SciPy (and NumPy with it).
     src = Path(gridstore.__file__).resolve().parent.parent
+    sweep_out, price_out = str(tmp_path / "sweep.csv"), str(tmp_path / "price.csv")
     script = textwrap.dedent(
         f"""
         import contextlib, io, json, sys
@@ -81,25 +95,38 @@ def test_package_and_cli_load_no_scipy_until_the_oracle_runs():
         def heavy():
             return sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy"))
 
+        config = ["--config", {CONFIG!r}]
         with contextlib.redirect_stdout(io.StringIO()):
             codes = [
-                gridstore.cli.run([command, "--config", {CONFIG!r}])
+                gridstore.cli.run([command] + config)
                 for command in ("validate", "enumerate", "solve-cgt")
             ]
-        rational = heavy()
+            rational = heavy()
+            codes += [
+                gridstore.cli.run(["solve-pt"] + config),
+                gridstore.cli.run(
+                    ["sweep"] + config + ["--param", "reference-point", "--from", "11.5",
+                                          "--to", "12", "--step", "0.5", "--out", {sweep_out!r}]
+                ),
+                gridstore.cli.run(
+                    ["find-price"] + config + ["--from", "1", "--to", "1.5", "--step", "0.5",
+                                               "--out", {price_out!r}]
+                ),
+            ]
         unresolved = [name for name in gridstore.__all__ if not hasattr(gridstore, name)]
         try:
             gridstore.no_such_export
             unknown = "resolved"
         except AttributeError:
             unknown = "AttributeError"
-        scipy_before_oracle = [m for m in heavy() if m.split(".")[0] == "scipy"]
+        before_oracle = heavy()
         s = gridstore.load_scenario({CONFIG!r})
         profile = gridstore.StrategyProfile.of({INTERIOR_BR!r}, 1.0)
         u = gridstore.quadrature_expected_utility(0, profile, s)
         print(json.dumps(dict(
             codes=codes, rational=rational, names=gridstore.__all__, unresolved=unresolved,
-            unknown=unknown, scipy_before_oracle=scipy_before_oracle, u=u,
+            unknown=unknown, before_oracle=before_oracle, u=u,
+            scipy_after_oracle="scipy" in sys.modules,
         )))
         """
     )
@@ -110,12 +137,13 @@ def test_package_and_cli_load_no_scipy_until_the_oracle_runs():
     )
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
-    assert report["codes"] == [0, 0, 0]
+    assert report["codes"] == [0] * 6
     assert report["rational"] == []
     assert set(report["names"]) == EXPORTS
     assert report["unresolved"] == []
     assert report["unknown"] == "AttributeError"
-    assert report["scipy_before_oracle"] == []
+    assert report["before_oracle"] == []
+    assert report["scipy_after_oracle"]
     assert report["u"] == pytest.approx(13.13103448275844, rel=1e-9)
 
 
@@ -138,7 +166,7 @@ def test_grid_best_response_refines_to_interior_optimum():
     rational, _ = best_response_cgt(0, 1.0, s)
     assert rational == pytest.approx(INTERIOR_BR, abs=1e-12)
     # The root of the analytic slope resolves the flat quadratic top to
-    # float precision, far below the scan step.
+    # float precision.
     assert grid_best_response(0, 1.0, s) == pytest.approx(rational, abs=1e-12)
 
 
@@ -214,27 +242,6 @@ def test_iteration_is_deterministic():
     assert tuple(a.profile) == tuple(b.profile)
     assert a.expected_utilities == b.expected_utilities
     assert a.iterations == b.iterations
-
-
-def test_cached_scan_terms_change_no_result():
-    s = framed_benchmark()
-    solver._unit_grid_terms.cache_clear()
-    cold = iterate_best_response(s)
-    warm = iterate_best_response(s)
-    # Two distinct framed players fill both cache entries and evict s's.
-    other = benchmark_scenario(prospect=(replace(BENCH_PROSPECT, r=13.0), BENCH_PROSPECT))
-    iterate_best_response(other)
-    assert solver._unit_grid_terms.cache_info().currsize == 2
-    after = iterate_best_response(s)
-    assert cold == warm == after
-
-
-def test_cached_scan_terms_are_read_only():
-    s = framed_benchmark()
-    q1, _, rho, k, _ = s.duel(0)
-    for term in solver._unit_grid_terms(q1, rho, k, s.prospect[0]):
-        with pytest.raises(ValueError):
-            term[0] = 0.0
 
 
 def test_a_solve_reuses_its_repeated_best_responses(monkeypatch):
@@ -324,8 +331,8 @@ def test_iteration_discards_an_aitken_limit_outside_the_unit_interval(rho_c, ref
 
 
 def test_best_response_finds_a_maximum_inside_the_last_step():
-    # Price-sensitivity row rho_c = 11, R = 13.1992: the scan's winner is
-    # alpha = 1, but the maximum lies inside [0.999, 1].
+    # Price-sensitivity row rho_c = 11, R = 13.1992: a scan in steps of
+    # 1e-3 picks alpha = 1, but the maximum lies inside [0.999, 1].
     s = _price_row(11.0, 13.1992)
     br = grid_best_response(1, 0.667686, s)
     assert br == pytest.approx(0.99933445053, abs=1e-9)
@@ -341,6 +348,110 @@ def test_best_response_keeps_the_narrow_peak_the_scan_finds():
     wide = max(np.linspace(0.9, 0.95, 501), key=lambda a: _framed_utility(s, 0, float(a), 0.98693454))
     assert abs(wide - 0.9217) < 1e-3
     assert _framed_utility(s, 0, br, 0.98693454) > _framed_utility(s, 0, float(wide), 0.98693454) + 5e-3
+
+
+def _best_response_cases():
+    """(scenario, opponent fraction) pairs for the exact framed best response.
+
+    Every feasible branch cell of ``framed_region_draw``, at the drawn
+    exponents, at beta = 1 (where the slope steps by lam - 1 at the
+    reference) and with one side at 1 (where the slope is finite on one
+    side of the reference and infinite on the other), each against the
+    drawn, an idle and a full opponent.  Then single rows:
+
+    * the narrow peak just past the reference crossing;
+    * a maximum just past the contested boundary, which the curvature read
+      at the boundary itself (the uncontested one) hides;
+    * a maximum at 0.5928 left of a reference crossing at 0.9097 where the
+      slope is -21 from the left and +inf from the right, which the slope
+      read at the crossing itself hides;
+    * a maximum at the kink of a reference crossing, steep on the loss
+      side, where the crossing's closed form lies a few ulps off the point
+      where the slope changes sign;
+    * no surplus, which zeroes every breakpoint's rate and flattens the
+      utility.
+    """
+    for want_gain, want_branch in FEASIBLE_CELLS:
+        rng = random.Random(f"best-response-{want_branch}")
+        for _ in range(8):
+            s, (_, a2) = framed_region_draw(rng, want_gain, want_branch)
+            pp = s.prospect[0]
+            for exponents in (
+                {}, {"beta_plus": 1.0, "beta_minus": 1.0}, {"beta_plus": 1.0}, {"beta_minus": 1.0}
+            ):
+                scenario = replace(s, prospect=(replace(pp, **exponents), None))
+                for opp in (a2, 0.0, 1.0):
+                    yield scenario, opp
+    yield _price_row(12.0, 14.368642669672138), 0.98693454
+    s = default_scenario(reference=12.85, lam=3.54)
+    yield replace(s, grid=replace(s.grid, rho_c=10.858)), 1.0
+    yield Scenario(
+        grid=GridParams(
+            rho=0.7009989227108102, rho_c=5.712334200431124,
+            theta=0.15438876021220094, l_c=74.1856469751302,
+        ),
+        microgrids=(
+            MicrogridConfig(q=56.260231929379344, q_max=65.0552637105447),
+            MicrogridConfig(q=38.12419804401427, q_max=69.24778566344968),
+        ),
+        prospect=(
+            ProspectParams(
+                r=48.69752893198437, lam=3.4332039799074963,
+                beta_plus=0.984525123173021, beta_minus=1.0,
+            ),
+            None,
+        ),
+    ), 1.0
+    yield Scenario(
+        grid=GridParams(
+            rho=0.7578652962182401, rho_c=27.093221034816168,
+            theta=0.03080212746523331, l_c=213.22672581976448,
+        ),
+        microgrids=(
+            MicrogridConfig(q=102.67529034748063, q_max=161.0570165057236),
+            MicrogridConfig(q=130.47235909031383, q_max=141.77907009299577),
+        ),
+        prospect=(
+            ProspectParams(
+                r=85.60506635200112, lam=2.576124563383098,
+                beta_plus=1.0, beta_minus=0.7566832261288802,
+            ),
+            None,
+        ),
+    ), 0.9829114519617657
+    s = framed_benchmark()
+    yield replace(s, microgrids=(replace(s.microgrids[0], q=0.0), s.microgrids[1])), 1.0
+
+
+def test_best_response_scores_no_lower_than_a_dense_argmax():
+    for s, opp in _best_response_cases():
+        br = grid_best_response(0, opp, s)
+        dense = dense_framed_argmax(0, opp, s)
+        u_br, u_dense = _framed_utility(s, 0, br, opp), _framed_utility(s, 0, dense, opp)
+        assert u_br >= u_dense - 1e-12 * max(1.0, abs(u_dense)), (s, opp, br, dense)
+
+
+def test_best_response_refuses_a_utility_that_is_not_finite():
+    # lam * loss overflows to -inf in a float product, which raises nothing
+    # by itself; no candidate may win on such a score.
+    s = framed_benchmark(reference=100.0, lam=1e308)
+    with pytest.raises(FloatingPointError):
+        grid_best_response(0, 1.0, s)
+
+
+def test_slope_is_quasi_convex_on_every_piece():
+    # The pt docstring's argument, sampled: between two breakpoints the
+    # slope falls, rises, or falls and then rises.
+    for s, opp in _best_response_cases():
+        args = (opp, *s.duel(0), s.prospect[0])
+        cuts = [0.0, *utility_breakpoints(*args), 1.0]
+        for lo, hi in zip(cuts, cuts[1:]):
+            xs = np.linspace(lo, hi, 203)[1:-1]
+            slopes = np.array([expected_pt_utility_slope(float(x), *args) for x in xs])
+            steps = np.diff(slopes)
+            tol = 1e-9 * float(np.max(np.abs(slopes)))
+            turn = int(np.argmin(slopes))
+            assert np.all(steps[:turn] <= tol) and np.all(steps[turn:] >= -tol), (s, opp, lo, hi)
 
 
 def test_best_response_through_an_infinite_slope_under_raising_errstate():
@@ -369,7 +480,7 @@ def test_mixed_game_equilibrium_does_not_depend_on_the_start():
 
 def published_battery():
     """(scenario, profile) of every row the published battery reports."""
-    refs = tuple(np.arange(5.0, 16.0 + 1e-9, 0.25))
+    refs = inclusive_grid(5.0, 16.0, 0.25)
     base = default_scenario()
     for row in sweep_reference_point(
         SweepSpec(base=base, swept_parameter="reference_point", values=refs)
@@ -383,12 +494,12 @@ def published_battery():
     )
     for row in sweep_emergency_price(spec):
         yield _price_row(row.rho_c, row.reference), row
-    lams = tuple(np.arange(1.0, 4.0 + 1e-9, 0.5))
+    lams = inclusive_grid(1.0, 4.0, 0.5)
     for reference in (11.5, 12.5):
         for row in required_emergency_price(default_scenario(reference=reference), lams):
             s = default_scenario(reference=reference, lam=row.lam)
             yield replace(s, grid=replace(s.grid, rho_c=row.rho_c_star)), row
-    for row in asymmetric_equilibrium(base, tuple(np.arange(5.0, 25.0 + 1e-9, 0.5))):
+    for row in asymmetric_equilibrium(base, inclusive_grid(5.0, 25.0, 0.5)):
         yield replace(base, prospect=(replace(base.prospect[0], r=row.value), None)), row
 
 
