@@ -326,20 +326,25 @@ def required_emergency_price(
 ) -> list[RequiredPriceRow]:
     """Minimal emergency price whose equilibrium covers the critical load.
 
-    For each loss-aversion level the price axis is scanned upward in
-    coarse steps from just above rho/theta (the smallest price
-    respecting the incentive condition); the first covering bracket is
-    then bisected down to ``PRICE_STEP``.  If the stored total is not
-    monotone across the scanned prefix the bracket is resolved by a
-    fine ascending scan instead, so the reported price is the first
-    crossing either way.  Raises NoCoveragePrice when even ``price_hi``
-    leaves the load uncovered.
+    Candidate prices are whole cents (``PRICE_STEP``) from the first one
+    above rho/theta (the smallest price respecting the incentive
+    condition) to ``price_hi`` rounded up to a cent.  For each
+    loss-aversion level the search steps upward from the first cent, 50
+    cents at a time (or 1/64 of the price, once that is larger), to the
+    first cent that covers, then bisects between it and the cent it
+    stepped from.  Each price is solved at most once.  Raises
+    NoCoveragePrice when the top cent leaves the load uncovered.
 
-    The framed game can have several equilibria at one price (for
-    example a symmetric one and two one-sided ones).  "Its equilibrium"
-    is the one ``iterate_best_response`` reaches from (1, 1), so the
-    reported price is the first at which that equilibrium covers the
-    load; two searches can report prices from different branches.
+    The reported price covers the load, and the cent below it does not
+    (or lies at or under the incentive floor): it is a local crossing.
+    It is the first crossing whenever the stored total rises with the
+    price, but not in general.  The framed game can have several
+    equilibria at one price (for example a symmetric one and two
+    one-sided ones), and "its equilibrium" is the one
+    ``iterate_best_response`` reaches from (1, 1).  Where that selection
+    jumps between branches the stored total is not monotone in the
+    price, and a window of covering cents narrower than a stride can be
+    stepped over.
     """
     framed = [p for p in base.prospect if p is not None]
     if not framed:
@@ -370,61 +375,36 @@ def required_emergency_price(
             f"price_hi = {price_hi:g} must be finite and exceed rho/theta = {lo_floor:.6g}"
         )
 
+    # The search walks integer cent indices, so every price it solves
+    # is a whole cent; the top one stands in for price_hi.
+    first, last = (math.ceil(p / PRICE_STEP - 1e-9) for p in (lo_floor, price_hi))
+
     def search(lam: float) -> RequiredPriceRow:
-        @functools.cache  # the walk has often solved the covering price already
+        @functools.cache  # the row reuses the solve at the covering price
         def solve(rho_c: float) -> EquilibriumResult:
             return iterate_best_response(with_price(lam, rho_c))
 
-        def stored(rho_c: float) -> float:  # the price leaves the surpluses alone
-            return _total_stored(solve(rho_c).profile, base)
+        def price(i: int) -> float:
+            return round(i * PRICE_STEP, 2)
 
-        if stored(price_hi) < target:
+        def covers(i: int) -> bool:  # the price leaves the surpluses alone
+            return _total_stored(solve(price(i)).profile, base) >= target
+
+        if not covers(last):
             raise NoCoveragePrice(lam, price_hi)
-
-        # Coarse ascending scan; stop at the first covering price.
-        coarse = 0.5
-        points = [lo_floor]
-        while points[-1] + coarse < price_hi:
-            points.append(points[-1] + coarse)
-        points.append(price_hi)
-        totals: list[float] = []
-        first_covered = len(points) - 1
-        for i, p in enumerate(points):
-            totals.append(stored(p))
-            if totals[-1] >= target:
-                first_covered = i
-                break
-
-        def snap_up(p: float) -> float:
-            return round(math.ceil(p / PRICE_STEP - 1e-9) * PRICE_STEP, 2)
-
-        if first_covered == 0:
-            star = snap_up(points[0])
-        else:
-            lo, hi = points[first_covered - 1], points[first_covered]
-            monotone = all(
-                b >= a - 1e-9 for a, b in zip(totals, totals[1:])
-            )
-            if monotone:
-                # Narrow by bisection, then pick the first grid price
-                # inside the bracket that still covers.
-                while hi - lo > PRICE_STEP:
-                    mid = 0.5 * (lo + hi)
-                    if stored(mid) >= target:
-                        hi = mid
-                    else:
-                        lo = mid
-            # Non-monotone prefix: keep the whole coarse cell and let
-            # the ascending walk report the first crossing.
-            star = snap_up(hi)
-            p = snap_up(lo)
-            if p <= lo:
-                p = round(p + PRICE_STEP, 2)
-            while p < star:
-                if stored(p) >= target:
-                    star = p
-                    break
-                p = round(p + PRICE_STEP, 2)
+        # Cent lo never covers (or lies under the floor).  Strides grow
+        # with the price above 32, so the solves grow with the logarithm
+        # of the price range, not with the range.
+        lo, hi = first - 1, first
+        while not covers(hi):
+            lo, hi = hi, min(hi + max(50, hi // 64), last)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if covers(mid):
+                hi = mid
+            else:
+                lo = mid
+        star = price(hi)
         scenario = with_price(lam, star)
         return _row(
             f"required_emergency_price:R={reference:g}",

@@ -5,14 +5,17 @@ from __future__ import annotations
 import hashlib
 import importlib.util
 import json
+import random
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gridstore import (
     InvalidScenario,
+    MicrogridConfig,
     SweepSpec,
     asymmetric_equilibrium,
     default_scenario,
@@ -191,17 +194,24 @@ def test_covering_price_reference_shift_reverses_at_unit_loss_aversion():
     assert diffs[1] >= 0.15
 
 
-def test_covering_price_search_solves_each_price_once(monkeypatch):
-    # At lam = 1 the ascending walk solves the covering price 11.28 before
-    # the row is built from it.
+def _count_solves(monkeypatch, limit: int = 1_000) -> list[float]:
+    """Record the price of every solve the search makes; fail past ``limit``."""
     prices = []
     real = experiments.iterate_best_response
 
     def counted(scenario, *args, **kwargs):
         prices.append(scenario.grid.rho_c)
+        assert len(prices) <= limit, f"more than {limit} solves"
         return real(scenario, *args, **kwargs)
 
     monkeypatch.setattr(experiments, "iterate_best_response", counted)
+    return prices
+
+
+def test_covering_price_search_solves_each_price_once(monkeypatch):
+    # At lam = 1 the bisection solves the covering price 11.28 before the
+    # row is built from it.
+    prices = _count_solves(monkeypatch)
     row = required_emergency_price(default_scenario(), lambda_values=(1.0,))[0]
     assert row.rho_c_star == 11.28
     assert row.rho_c_star in prices
@@ -215,6 +225,104 @@ def test_covering_price_search_reports_unreachable_target():
         )
     assert exc_info.value.lam == 1.0
     assert exc_info.value.price_hi == 10.5
+
+
+def _stored_at(base, price: float) -> float:
+    scenario = replace(base, grid=replace(base.grid, rho_c=price))
+    profile = iterate_best_response(scenario).profile
+    return sum(profile[p] * scenario.surpluses[p] for p in (0, 1))
+
+
+def _assert_local_crossing(reference: float, lam: float, star: float) -> None:
+    # The benchmark's coverage contract: the star covers, and the cent
+    # below it does not unless it lies at or below the incentive floor.
+    base = default_scenario(reference=reference, lam=lam)
+    target = base.grid.l_c
+    assert _stored_at(base, star) >= target
+    below = round(star - experiments.PRICE_STEP, 2)
+    floor = base.grid.rho / base.grid.theta * (1.0 + 1e-6)
+    assert below <= floor or _stored_at(base, below) < target
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    reference=st.floats(min_value=5.0, max_value=16.0),
+    lam=st.floats(min_value=1.0, max_value=4.0),
+)
+def test_covering_price_is_a_local_crossing(reference, lam):
+    row = required_emergency_price(default_scenario(reference=reference), (lam,))[0]
+    _assert_local_crossing(reference, lam, row.rho_c_star)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("reference", [11.5, 12.5])
+def test_covering_price_is_a_local_crossing_on_shifted_grids(seed, reference):
+    # The benchmark's coverage workload: lambda = 1 plus 1.5..4 step 0.5
+    # shifted by a seeded fraction of half a step.
+    shift = random.Random(seed).random() * 0.5
+    lams = (1.0,) + tuple(1.5 + 0.5 * i + shift for i in range(6))
+    rows = required_emergency_price(default_scenario(reference=reference), lams)
+    for lam, row in zip(lams, rows):
+        _assert_local_crossing(reference, lam, row.rho_c_star)
+
+
+def test_covering_price_finds_a_window_between_branches():
+    # Here 11.01..11.25 cover, 11.26..12.08 do not, and 12.09 covers
+    # again.  The earlier coarse scan from rho/theta in steps of 0.5
+    # stepped over the first window and reported 12.09.
+    reference, lam = 13.251545058135042, 2.4340982337820005
+    row = required_emergency_price(default_scenario(reference=reference), (lam,))[0]
+    assert row.rho_c_star == 11.01
+    _assert_local_crossing(reference, lam, 11.01)
+
+
+def test_covering_price_battery_solve_budget(monkeypatch):
+    # The published battery's 14 searches.
+    prices = _count_solves(monkeypatch)
+    lams = experiments.inclusive_grid(1.0, 4.0, 0.5)
+    for reference in (11.5, 12.5):
+        required_emergency_price(default_scenario(reference=reference), lams)
+    assert len(prices) <= 160
+
+
+def test_covering_price_search_ignores_a_far_price_ceiling(monkeypatch):
+    _count_solves(monkeypatch, limit=20)
+    row = required_emergency_price(default_scenario(), (1.0,), price_hi=1e15)[0]
+    assert row.rho_c_star == 11.28
+
+
+def test_covering_price_search_survives_a_huge_incentive_floor(monkeypatch):
+    # rho/theta = 1e16, where neighbouring cents are the same float.
+    _count_solves(monkeypatch, limit=200)
+    base = default_scenario()
+    base = replace(base, grid=replace(base.grid, rho=1e14, rho_c=2e16))
+    row = required_emergency_price(base, (1.0,), price_hi=4e16)[0]
+    assert 1e16 < row.rho_c_star < 4e16
+    assert row.total_stored_kwh >= base.grid.l_c
+    assert row.converged
+
+
+@pytest.mark.parametrize("price_hi", [11.285, 11.28])
+def test_covering_price_ceiling_at_or_just_above_the_star(price_hi):
+    row = required_emergency_price(default_scenario(), (1.0,), price_hi=price_hi)[0]
+    assert row.rho_c_star == 11.28
+    assert row.alpha_1 == pytest.approx(0.6672697936325961, abs=1e-9)
+    assert row.alpha_2 == 1.0
+    assert row.total_stored_kwh == pytest.approx(200.07237523591152, abs=1e-7)
+    assert row.iterations == 2
+
+
+def test_covering_price_when_the_first_cent_covers():
+    # With q_max = q = 120 and l_c = 140 the first cent above
+    # rho/theta = 10 already covers.
+    base = default_scenario()
+    microgrid = MicrogridConfig(q=120.0, q_max=120.0)
+    base = replace(base, microgrids=(microgrid, microgrid), grid=replace(base.grid, l_c=140.0))
+    rows = required_emergency_price(base, (1.0, 2.25, 4.0))
+    assert [r.rho_c_star for r in rows] == [10.01, 10.01, 10.01]
+    for row, alpha in zip(rows, (0.5839161817543079, 0.5839161817197567, 0.5839161819768217)):
+        assert row.alpha_1 == pytest.approx(alpha, abs=1e-9)
+        assert row.total_stored_kwh == pytest.approx(140.13988361683337, abs=1e-7)
 
 
 def test_asymmetric_rows_frozen_profiles():
