@@ -62,95 +62,96 @@ def _require_framed(player: int, s: Scenario) -> ProspectParams:
     return p
 
 
-def _contested(keep, stored, a2, q2max, k, lc, pp: ProspectParams):
-    """Contested geometry from the own sale value ``keep`` and stored energy.
+def framed_evaluators(a2, q1, q2max, rho, k, lc, pp: ProspectParams):
+    """Expected framed utility, slope and curvature in the own fraction ``a1``.
 
-    ``(split, u_hi, m_g, m_l)``: the opponent surplus where trimming
-    starts, the trimmed utility at the largest opponent surplus, and the
-    gain/loss antiderivative coefficients carrying the uniform belief
-    density.  The trimmed utility is linear in the opponent surplus.
+    Three closures against the opponent's fixed ``a2``; every term free of
+    ``a1`` is computed once.  The untrimmed utility ``u1``'s framed value
+    holds for the opponent types below the split.  Past it the trimmed
+    utility falls linearly from ``u1`` to ``u_hi``, so each value segment,
+    gain and loss, integrates to its antiderivative between the two (a
+    segment never entered has both bases exactly 0).  In the slope the
+    terms at the split cancel, and ``u_hi`` moves by ``e`` per unit of
+    ``a1``.  The slope is continuous across the contested boundary and
+    +inf where ``u1`` meets a curved reference; the curvature (module
+    docstring) jumps at that boundary and is -inf (right) and +inf (left)
+    at a curved reference, so read it inside a piece.  The constants that
+    divide by ``k*a2*q2max`` wait for the first contested read, which
+    alone raises when it is 0.
     """
-    split = (lc - stored) / a2
-    u_hi = keep + 0.5 * k * (stored + lc - a2 * q2max)
-    m_g = -2.0 / ((pp.beta_plus + 1.0) * k * a2 * q2max)
-    m_l = -2.0 * pp.lam / ((pp.beta_minus + 1.0) * k * a2 * q2max)
-    return split, u_hi, m_g, m_l
+    r, lam, bp, bm = pp.r, pp.lam, pp.beta_plus, pp.beta_minus
+    rq, kq, hk, a2q, c = rho * q1, k * q1, 0.5 * k, a2 * q2max, q1 * (k - rho)
+    idle, e, ka2, bp1, bm1 = a2 <= 0.0, q1 * (hk - rho), k * a2, bp + 1.0, bm + 1.0
+    cc, rqc, ee, lbm, bp_1, bm_1 = c * c, rq * c, e * e, lam * bm, bp - 1.0, bm - 1.0
+    bpc, lbmc, bp_2, bm_2 = bp * bp_1, lbm * (1.0 - bm), bp - 2.0, bm - 2.0
+    at_ref = math.inf if min(bp, bm) < 1.0 else max(1.0, lam)  # the steeper side's
+    m_g = m_l = drift = None
+
+    def place(a1):  # (u1, split, u_hi); split and u_hi are None when uncontested
+        keep, stored = rq * (1.0 - a1), a1 * q1
+        u1 = keep + kq * a1
+        if idle or stored + a2q <= lc:
+            return u1, None, None
+        return u1, (lc - stored) / a2, keep + hk * (stored + lc - a2q)
+
+    def value_slope(u):  # of pt_value
+        d = u - r
+        if d > 0.0:
+            return bp * d**bp_1
+        return lbm * (-d) ** bm_1 if d < 0.0 else at_ref
+
+    def value_curvature(u):  # of pt_value, 0 at the reference
+        d = u - r
+        if d > 0.0:
+            return bpc * d**bp_2
+        return lbmc * (-d) ** bm_2 if d < 0.0 else 0.0
+
+    def utility(a1):
+        nonlocal m_g, m_l
+        u1, split, u_hi = place(a1)
+        v1 = pt_value(u1, pp)
+        if split is None:
+            return v1
+        if m_g is None:
+            m_g, m_l = -2.0 / (bp1 * k * a2 * q2max), -2.0 * lam / (bm1 * k * a2 * q2max)
+        gain = m_g * (max(u_hi - r, 0.0) ** bp1 - max(u1 - r, 0.0) ** bp1)
+        loss = m_l * (max(r - u_hi, 0.0) ** bm1 - max(r - u1, 0.0) ** bm1)
+        return (split / q2max) * v1 + (gain + loss)
+
+    def slope(a1):
+        nonlocal drift
+        u1, split, u_hi = place(a1)
+        own = c * value_slope(u1)
+        if split is None:
+            return own
+        if drift is None:
+            drift = e * 2.0 / (ka2 * q2max)
+        return (split / q2max) * own + drift * (pt_value(u1, pp) - pt_value(u_hi, pp))
+
+    def curvature(a1):
+        u1, split, u_hi = place(a1)
+        own = cc * value_curvature(u1)
+        if split is None:
+            return own
+        pull = rqc * value_slope(u1) + ee * value_slope(u_hi)
+        return (split * own - 2.0 * pull / ka2) / q2max
+
+    return utility, slope, curvature
 
 
 def expected_pt_utility_scalar(a1, a2, q1, q2max, rho, k, lc, pp: ProspectParams) -> float:
-    """Expected framed utility of the own fraction ``a1`` against the opponent's ``a2``.
-
-    The untrimmed utility's framed value ``v1`` holds for the opponent
-    types below the split.  Past it the trimmed utility falls linearly
-    from the untrimmed ``u1`` to ``u_hi``, so each value segment, gain and
-    loss, integrates to its antiderivative between the two.  A segment
-    the utility never enters has both bases exactly 0.
-    """
-    keep, stored = rho * q1 * (1.0 - a1), a1 * q1
-    u1 = keep + k * q1 * a1
-    v1 = pt_value(u1, pp)
-    if a2 <= 0.0 or stored + a2 * q2max <= lc:
-        return v1
-    split, u_hi, m_g, m_l = _contested(keep, stored, a2, q2max, k, lc, pp)
-    r, bp1, bm1 = pp.r, pp.beta_plus + 1.0, pp.beta_minus + 1.0
-    gain = m_g * (max(u_hi - r, 0.0) ** bp1 - max(u1 - r, 0.0) ** bp1)
-    loss = m_l * (max(r - u_hi, 0.0) ** bm1 - max(r - u1, 0.0) ** bm1)
-    return (split / q2max) * v1 + (gain + loss)
-
-
-def _pt_value_slope(u: float, p: ProspectParams) -> float:
-    """Derivative of ``pt_value``; at the reference the steeper side's (+inf if curved)."""
-    d = u - p.r
-    if d > 0.0:
-        return p.beta_plus * d ** (p.beta_plus - 1.0)
-    if d < 0.0:
-        return p.lam * p.beta_minus * (-d) ** (p.beta_minus - 1.0)
-    return math.inf if min(p.beta_plus, p.beta_minus) < 1.0 else max(1.0, p.lam)
+    """Expected framed utility of the own fraction ``a1`` against the opponent's ``a2``."""
+    return framed_evaluators(a2, q1, q2max, rho, k, lc, pp)[0](a1)
 
 
 def expected_pt_utility_slope(a1, a2, q1, q2max, rho, k, lc, pp: ProspectParams) -> float:
-    """Derivative of ``expected_pt_utility_scalar`` in the own fraction ``a1``.
-
-    The terms at the split cancel (the trimmed utility starts at the
-    untrimmed one), and past it the trimmed utility moves by
-    ``q1 * (k/2 - rho)`` per unit of ``a1``, so that segment integrates
-    the value's slope in closed form.  Continuous across the contested
-    boundary; +inf where the untrimmed utility meets the reference (beta < 1).
-    """
-    u1 = rho * q1 * (1.0 - a1) + k * q1 * a1
-    own = q1 * (k - rho) * _pt_value_slope(u1, pp)
-    if a2 <= 0.0 or a1 * q1 + a2 * q2max <= lc:
-        return own
-    split, u_hi, _, _ = _contested(rho * q1 * (1.0 - a1), a1 * q1, a2, q2max, k, lc, pp)
-    drift = q1 * (0.5 * k - rho) * 2.0 / (k * a2 * q2max)
-    return (split / q2max) * own + drift * (pt_value(u1, pp) - pt_value(u_hi, pp))
-
-
-def _pt_value_curvature(u: float, p: ProspectParams) -> float:
-    """Second derivative of ``pt_value`` off the reference; 0 at it."""
-    d = u - p.r
-    if d > 0.0:
-        return p.beta_plus * (p.beta_plus - 1.0) * d ** (p.beta_plus - 2.0)
-    if d < 0.0:
-        return p.lam * p.beta_minus * (1.0 - p.beta_minus) * (-d) ** (p.beta_minus - 2.0)
-    return 0.0
+    """Derivative of ``expected_pt_utility_scalar`` in the own fraction ``a1``."""
+    return framed_evaluators(a2, q1, q2max, rho, k, lc, pp)[1](a1)
 
 
 def expected_pt_utility_curvature(a1, a2, q1, q2max, rho, k, lc, pp: ProspectParams) -> float:
-    """Derivative of ``expected_pt_utility_slope`` in ``a1`` (module docstring).
-
-    It jumps at the contested boundary, and is -inf (right) and +inf
-    (left) where ``u1`` meets a curved reference: read it inside a piece.
-    """
-    c = q1 * (k - rho)
-    u1 = rho * q1 * (1.0 - a1) + k * q1 * a1
-    own = c * c * _pt_value_curvature(u1, pp)
-    if a2 <= 0.0 or a1 * q1 + a2 * q2max <= lc:
-        return own
-    split, u_hi, _, _ = _contested(rho * q1 * (1.0 - a1), a1 * q1, a2, q2max, k, lc, pp)
-    e = q1 * (0.5 * k - rho)
-    pull = rho * q1 * c * _pt_value_slope(u1, pp) + e * e * _pt_value_slope(u_hi, pp)
-    return (split * own - 2.0 * pull / (k * a2)) / q2max
+    """Derivative of ``expected_pt_utility_slope`` in ``a1``."""
+    return framed_evaluators(a2, q1, q2max, rho, k, lc, pp)[2](a1)
 
 
 def utility_breakpoints(a2, q1, q2max, rho, k, lc, pp: ProspectParams) -> list[float]:

@@ -148,12 +148,10 @@ def grid_best_response(player: int, opponent_alpha: float, s: Scenario) -> float
     pp = pt._require_framed(player, s)
     q1, q2max, rho, k, lc = s.duel(player)
     args = (float(opponent_alpha), q1, q2max, rho, k, lc, pp)
-
-    def slope(a1: float) -> float:
-        return pt.expected_pt_utility_slope(a1, *args)
+    utility, slope, curvature = pt.framed_evaluators(*args)
 
     def fall(a1: float) -> float:
-        return -pt.expected_pt_utility_curvature(a1, *args)
+        return -curvature(a1)
 
     cuts = [0.0, *pt.utility_breakpoints(*args), 1.0]
     probes = []
@@ -172,7 +170,7 @@ def grid_best_response(player: int, opponent_alpha: float, s: Scenario) -> float
             f_hi = slope(hi)
         if f_lo > 0.0 > f_hi:
             candidates.append(_falling_root(slope, lo, hi, f_lo, f_hi))
-    scored = [(pt.expected_pt_utility_scalar(a, *args), a) for a in sorted(candidates)]
+    scored = [(utility(a), a) for a in sorted(candidates)]
     if not all(math.isfinite(u) for u, _ in scored):
         raise FloatingPointError("framed utility is not finite")
     return max(scored, key=lambda pair: pair[0])[1]

@@ -15,7 +15,6 @@ from gridstore.model import (
     Scenario,
     StrategyProfile,
 )
-from gridstore.pt import _contested
 from gridstore.solver import grid_best_response
 
 BENCH_PROSPECT = ProspectParams(r=11.5, lam=2.25, beta_plus=0.88, beta_minus=0.88)
@@ -268,7 +267,7 @@ class ContestedTerms(NamedTuple):
 
 
 def contested_terms(profile: StrategyProfile, s: Scenario) -> ContestedTerms:
-    """``pt._contested``'s outputs for player 0, with the branch they imply.
+    """Player 0's contested geometry at ``profile``, with the branch it implies.
 
     Every trimmed utility lies in [u_hi, u1], so all types gain when
     ``u_hi > r``, all lose when ``u1 < r``, and the rest straddle ``r``.
@@ -276,9 +275,12 @@ def contested_terms(profile: StrategyProfile, s: Scenario) -> ContestedTerms:
     pp = s.prospect[0]
     a1, a2 = profile
     q1, q2max, rho, k, lc = s.duel(0)
-    keep = rho * q1 * (1.0 - a1)
+    keep, stored = rho * q1 * (1.0 - a1), a1 * q1
     u1 = keep + k * q1 * a1
-    split, u_hi, m_g, m_l = _contested(keep, a1 * q1, a2, q2max, k, lc, pp)
+    split = (lc - stored) / a2
+    u_hi = keep + 0.5 * k * (stored + lc - a2 * q2max)
+    m_g = -2.0 / ((pp.beta_plus + 1.0) * k * a2 * q2max)
+    m_l = -2.0 * pp.lam / ((pp.beta_minus + 1.0) * k * a2 * q2max)
     if u_hi > pp.r:
         branch = "AllGain"
     elif u1 < pp.r:

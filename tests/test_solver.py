@@ -32,7 +32,7 @@ from gridstore import (
     sweep_reference_point,
     SweepSpec,
 )
-from gridstore import solver
+from gridstore import pt, solver
 from gridstore.experiments import inclusive_grid
 from gridstore.pt import expected_pt_utility_scalar, expected_pt_utility_slope, utility_breakpoints
 from gridstore.solver import TOL
@@ -350,14 +350,26 @@ def test_best_response_keeps_the_narrow_peak_the_scan_finds():
     assert _framed_utility(s, 0, br, 0.98693454) > _framed_utility(s, 0, float(wide), 0.98693454) + 5e-3
 
 
-def _best_response_cases():
-    """(scenario, opponent fraction) pairs for the exact framed best response.
+# Exponent overrides of a drawn player: as drawn, linear (the slope steps
+# by lam - 1 at the reference), and one side linear (the slope is finite
+# on one side of the reference and infinite on the other).
+EXPONENTS = ({}, {"beta_plus": 1.0, "beta_minus": 1.0}, {"beta_plus": 1.0}, {"beta_minus": 1.0})
 
-    Every feasible branch cell of ``framed_region_draw``, at the drawn
-    exponents, at beta = 1 (where the slope steps by lam - 1 at the
-    reference) and with one side at 1 (where the slope is finite on one
-    side of the reference and infinite on the other), each against the
-    drawn, an idle and a full opponent.  Then single rows:
+
+def _cell_draws(want_gain: bool, want_branch: str, n: int = 8):
+    """The first ``n`` (scenario, drawn opponent fraction) pairs of one branch cell."""
+    rng = random.Random(f"best-response-{want_branch}")
+    for _ in range(n):
+        s, (_, a2) = framed_region_draw(rng, want_gain, want_branch)
+        yield s, a2
+
+
+def _with_exponents(s: Scenario, j: int) -> Scenario:
+    return replace(s, prospect=(replace(s.prospect[0], **EXPONENTS[j]), None))
+
+
+def _single_rows():
+    """(scenario, opponent fraction) rows that each once hid a maximum:
 
     * the narrow peak just past the reference crossing;
     * a maximum just past the contested boundary, which the curvature read
@@ -371,17 +383,6 @@ def _best_response_cases():
     * no surplus, which zeroes every breakpoint's rate and flattens the
       utility.
     """
-    for want_gain, want_branch in FEASIBLE_CELLS:
-        rng = random.Random(f"best-response-{want_branch}")
-        for _ in range(8):
-            s, (_, a2) = framed_region_draw(rng, want_gain, want_branch)
-            pp = s.prospect[0]
-            for exponents in (
-                {}, {"beta_plus": 1.0, "beta_minus": 1.0}, {"beta_plus": 1.0}, {"beta_minus": 1.0}
-            ):
-                scenario = replace(s, prospect=(replace(pp, **exponents), None))
-                for opp in (a2, 0.0, 1.0):
-                    yield scenario, opp
     yield _price_row(12.0, 14.368642669672138), 0.98693454
     s = default_scenario(reference=12.85, lam=3.54)
     yield replace(s, grid=replace(s.grid, rho_c=10.858)), 1.0
@@ -421,6 +422,70 @@ def _best_response_cases():
     ), 0.9829114519617657
     s = framed_benchmark()
     yield replace(s, microgrids=(replace(s.microgrids[0], q=0.0), s.microgrids[1])), 1.0
+
+
+def _best_response_cases():
+    """(scenario, opponent fraction) pairs for the exact framed best response.
+
+    Every feasible branch cell of ``framed_region_draw``, at each of
+    ``EXPONENTS``, against the drawn, an idle and a full opponent; then
+    ``_single_rows``.
+    """
+    for want_gain, want_branch in FEASIBLE_CELLS:
+        for s, a2 in _cell_draws(want_gain, want_branch):
+            for j in range(len(EXPONENTS)):
+                for opp in (a2, 0.0, 1.0):
+                    yield _with_exponents(s, j), opp
+    yield from _single_rows()
+
+
+# Framed best responses pinned bit for bit, as float.hex, from the code
+# before each response built its evaluators once.  Keyed by (branch cell,
+# draw of ``_cell_draws``, ``EXPONENTS`` index): the answers against the
+# drawn, an idle and a full opponent.  The draws are mostly ones with an
+# interior answer, where a changed evaluator would show.
+PINNED_DRAW_RESPONSES = {
+    ("AllGain", 0, 0): ("0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.e2e94004662fcp-1"),
+    ("AllGain", 0, 3): ("0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.d7b4906de7da4p-1"),
+    ("AllGain", 1, 0): ("0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+    ("Mixed", 1, 0): ("0x1.3652e463e4d5ap-1", "0x1.0000000000000p+0", "0x1.0eb7b7f674618p-1"),
+    ("Mixed", 1, 1): ("0x1.28efcc95f96dap-1", "0x1.0000000000000p+0", "0x1.d68317f66afd4p-2"),
+    ("Mixed", 5, 3): ("0x1.c541de41ed40ap-1", "0x1.0000000000000p+0", "0x1.c4fbd58590dd8p-1"),
+    ("AllLoss", 2, 0): ("0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.ca70379354b4ep-1"),
+    ("AllLoss", 2, 1): ("0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.c09a76a2fb94ap-1"),
+    ("AllLoss", 0, 0): ("0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+}
+# The narrow peak, the maximum past the contested boundary and no
+# surplus: rows 0, 1 and 4 of ``_single_rows``.
+PINNED_ROW_RESPONSES = {0: "0x1.f94f7be60a98fp-1", 1: "0x1.4a3764e2a7000p-1", 4: "0x0.0p+0"}
+
+
+def test_framed_best_responses_are_pinned_bit_for_bit():
+    draws = {cell: list(_cell_draws(gain, cell, 6)) for gain, cell in FEASIBLE_CELLS}
+    for (cell, i, j), pinned in PINNED_DRAW_RESPONSES.items():
+        s, a2 = draws[cell][i]
+        s = _with_exponents(s, j)
+        got = tuple(grid_best_response(0, opp, s).hex() for opp in (a2, 0.0, 1.0))
+        assert got == pinned, (cell, i, j)
+    rows = list(_single_rows())
+    for i, pinned in PINNED_ROW_RESPONSES.items():
+        s, opp = rows[i]
+        assert grid_best_response(0, opp, s).hex() == pinned, i
+
+
+def test_a_best_response_builds_its_evaluators_once(monkeypatch):
+    calls = []
+    real = pt.framed_evaluators
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(pt, "framed_evaluators", counted)
+    for s, opp in _best_response_cases():
+        calls.clear()
+        grid_best_response(0, opp, s)
+        assert len(calls) == 1, (s, opp)
 
 
 def test_best_response_scores_no_lower_than_a_dense_argmax():
