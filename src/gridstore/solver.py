@@ -235,7 +235,7 @@ def iterate_best_response(
         a, delta = play(a)
         rounds += 1
         trail.append(a[1])
-        guess = _aitken(*trail[-3:]) if len(trail) > 3 else None
+        guess = _aitken(*trail[-3:]) if len(trail) >= 3 else None
         if guess is not None and delta > TOL and rounds < MAX_ROUNDS:
             trial, moved = play((a[0], guess))
             rounds += 1

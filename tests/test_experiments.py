@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import importlib.util
+import io
 import json
 import random
 import sys
@@ -373,9 +375,20 @@ def test_covering_price_csv_carries_star_column(tmp_path):
 
 
 
+def _values_sha256(text: str) -> str:
+    """SHA-256 of a CSV with its ``iterations`` column removed."""
+    table = list(csv.reader(io.StringIO(text)))
+    drop = table[0].index("iterations")
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(row[:drop] + row[drop + 1:] for row in table)
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
 def test_published_battery_reproduces_reference_hashes(tmp_path, monkeypatch, capsys):
-    """``run_experiments.py --experiment all`` writes the CSVs pinned by SHA-256 in
-    ``tests/data/battery_sha256.json``."""
+    """``run_experiments.py --experiment all`` writes the CSVs pinned in
+    ``tests/data/battery_sha256.json``: whole files by ``sha256``, and every
+    column but ``iterations`` by ``values_sha256``, so a change that moves
+    only round counts fails the first and passes the second."""
     expected = json.loads((ROOT / "tests" / "data" / "battery_sha256.json").read_text())
     spec = importlib.util.spec_from_file_location(
         "run_experiments", ROOT / "scripts" / "run_experiments.py"
@@ -387,8 +400,8 @@ def test_published_battery_reproduces_reference_hashes(tmp_path, monkeypatch, ca
     )
     script.main()
     capsys.readouterr()
-    written = {
-        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-        for path in tmp_path.glob("*.csv")
-    }
-    assert written == expected
+    paths = sorted(tmp_path.glob("*.csv"))
+    values = {path.name: _values_sha256(path.read_text()) for path in paths}
+    assert values == expected["values_sha256"]
+    written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in paths}
+    assert written == expected["sha256"]
