@@ -33,6 +33,7 @@ _EXPORTS = {
             "InvalidScenario",
             "MissingProspectParams",
             "NoCoveragePrice",
+            "NotConverged",
             "NotTwoPlayer",
         ),
         "errors",

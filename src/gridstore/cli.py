@@ -31,6 +31,7 @@ from .errors import (
     InvalidScenario,
     MissingProspectParams,
     NoCoveragePrice,
+    NotConverged,
     NotTwoPlayer,
     require_finite,
 )
@@ -340,7 +341,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     except (MissingProspectParams, NotTwoPlayer) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except NoCoveragePrice as exc:
+    except (NoCoveragePrice, NotConverged) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
     except (OverflowError, FloatingPointError) as exc:

@@ -46,6 +46,17 @@ class NoCoveragePrice(GridStoreError):
         )
 
 
+class NotConverged(GridStoreError):
+    """A covering-price solve stopped at the round cap, so it cannot decide coverage."""
+
+    def __init__(self, lam: float, price: float):
+        self.lam, self.price = lam, price
+        super().__init__(
+            f"the equilibrium for loss aversion {lam:g} at emergency price {price:.15g} "
+            "is still moving at the round cap"
+        )
+
+
 def require_finite(*values: float) -> None:
     """Raise ``FloatingPointError`` unless every value is finite.
 

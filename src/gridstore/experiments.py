@@ -26,7 +26,8 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .cgt import EquilibriumResult, enumerate_bne
-from .errors import GridStoreError, MissingProspectParams, NoCoveragePrice, require_finite
+from .errors import GridStoreError, MissingProspectParams, NoCoveragePrice, NotConverged
+from .errors import require_finite
 from .model import (
     GridParams,
     MicrogridConfig,
@@ -333,7 +334,9 @@ def required_emergency_price(
     cents at a time (or 1/64 of the price, once that is larger), to the
     first cent that covers, then bisects between it and the cent it
     stepped from.  Each price is solved at most once.  Raises
-    NoCoveragePrice when the top cent leaves the load uncovered.
+    NoCoveragePrice when the top cent leaves the load uncovered, and
+    NotConverged when the solve at the star or the cent below stopped at
+    the round cap.
 
     The reported price covers the load, and the cent below it does not
     (or lies at or under the incentive floor): it is a local crossing.
@@ -404,6 +407,9 @@ def required_emergency_price(
                 hi = mid
             else:
                 lo = mid
+        for i in (lo, hi)[lo < first :]:  # a profile still moving decides nothing
+            if not solve(price(i)).converged:
+                raise NotConverged(lam, price(i))
         star = price(hi)
         scenario = with_price(lam, star)
         return _row(

@@ -7,7 +7,8 @@ expected framed utility against a uniform opponent type still splits
 into an uncontested part (a point mass in utility space) and a contested
 integral, which takes the antiderivative of each value segment, gain and
 loss, between the untrimmed utility and the trimmed one at the largest
-opponent surplus.  Everything runs on plain floats.
+opponent surplus.  ``framed_evaluators`` builds it, its slope and its
+curvature in the own fraction at once.  Everything runs on plain floats.
 
 For a fixed opponent fraction ``a2``, ``utility_breakpoints`` cut the own
 fractions [0, 1] into pieces on each of which the slope is quasi-convex:
@@ -65,19 +66,14 @@ def _require_framed(player: int, s: Scenario) -> ProspectParams:
 def framed_evaluators(a2, q1, q2max, rho, k, lc, pp: ProspectParams):
     """Expected framed utility, slope and curvature in the own fraction ``a1``.
 
-    Three closures against the opponent's fixed ``a2``; every term free of
-    ``a1`` is computed once.  The untrimmed utility ``u1``'s framed value
-    holds for the opponent types below the split.  Past it the trimmed
-    utility falls linearly from ``u1`` to ``u_hi``, so each value segment,
-    gain and loss, integrates to its antiderivative between the two (a
-    segment never entered has both bases exactly 0).  In the slope the
-    terms at the split cancel, and ``u_hi`` moves by ``e`` per unit of
-    ``a1``.  The slope is continuous across the contested boundary and
-    +inf where ``u1`` meets a curved reference; the curvature (module
-    docstring) jumps at that boundary and is -inf (right) and +inf (left)
-    at a curved reference, so read it inside a piece.  The constants that
-    divide by ``k*a2*q2max`` wait for the first contested read, which
-    alone raises when it is 0.
+    Three closures against a fixed ``a2`` that compute every term free of
+    ``a1`` once.  Past the split the trimmed utility falls linearly from
+    ``u1`` to ``u_hi``, so each value segment, gain and loss, integrates to
+    its antiderivative between the two, and in the slope the terms at the
+    split cancel.  Where ``u1`` meets a curved reference the slope is +inf
+    and the curvature infinite; the curvature also jumps at the contested
+    boundary, so read it inside a piece.  The constants dividing by
+    ``k*a2*q2max`` wait for the first contested read, which alone raises at 0.
     """
     r, lam, bp, bm = pp.r, pp.lam, pp.beta_plus, pp.beta_minus
     rq, kq, hk, a2q, c = rho * q1, k * q1, 0.5 * k, a2 * q2max, q1 * (k - rho)

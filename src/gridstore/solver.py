@@ -5,8 +5,9 @@ over the opponent's uniform type directly, so it shares no algebra with
 the closed forms it is used to check.  Only tests and the benchmark call
 it, so it imports ``scipy.integrate`` (the ``test`` extra) on its first
 call rather than with this module.  The framed best response takes the
-roots of the closed form's analytic slope; the iteration solver
-alternates best responses, with Aitken steps, to a fixed point.  All
+roots of the closed form's analytic slope, with ``pt.framed_evaluators``
+built once per response; the iteration solver alternates best responses,
+with an Aitken step from every three iterates, to a fixed point.  All
 but the oracle runs on plain floats.
 
 The numerics are fixed: a 1e-12 fixed-point tolerance (``TOL``), a
@@ -205,10 +206,10 @@ def iterate_best_response(
     to player 0's new one.  Players carrying prospect parameters respond
     with the framed best response, the others with the closed form.
     Convergence means a round whose largest strategy update is at most
-    ``TOL``.  Rounds crawl near a best-response slope of -1, so after
-    three rounds in a row one round is tried from the Aitken extrapolation
-    of player 2's fraction, kept only if it moves player 2 less than the
-    last plain round did; a kept round starts the next run of three.
+    ``TOL``.  Rounds crawl near a best-response slope of -1, so once
+    player 2's trail (from the start or a kept guess) holds three fractions,
+    one round is tried from their Aitken limit, Steffensen's method, and
+    kept only if it moves player 2 less than the last plain round did.
     ``iterations`` counts every round, tried ones included; a result
     still moving after the ``MAX_ROUNDS`` guard is not converged.  A framed
     response to an opponent fraction this solve has already met is reused.

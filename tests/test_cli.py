@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import re
@@ -303,6 +304,34 @@ def test_find_price_unreachable_ceiling_is_exit_four(tmp_path, capsys):
     )
     assert code == 4
     assert "error" in capsys.readouterr().err
+
+
+def test_find_price_output_is_the_published_coverage_csv(tmp_path):
+    # The default scenario over the battery's loss-aversion grid writes
+    # the battery's coverage_price_R11.5.csv byte for byte.
+    out = tmp_path / "stars.csv"
+    argv = ["find-price", "--config", CONFIG, "--from", "1", "--to", "4", "--step", "0.5"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run(argv + ["--out", str(out)]) == 0
+    pinned = json.loads((DATA / "battery_sha256.json").read_text())["sha256"]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == pinned["coverage_price_R11.5.csv"]
+
+
+def test_find_price_round_cap_is_exit_four(tmp_path, capsys):
+    # rho/theta = 1e16: the solve at the covering price the search lands
+    # on is still moving at the round cap, so it decides nothing.
+    out = tmp_path / "x.csv"
+    argv = ["find-price", "--config", CONFIG, "--override", "grid.rho=1e-3"]
+    argv += ["--override", "grid.theta=1e-19", "--override", "grid.rho_c=2e16"]
+    argv += ["--from", "1", "--to", "1", "--price-max", "4e16", "--out", str(out)]
+    assert run(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: the equilibrium for loss aversion 1 at emergency price 1.11110387494787e+16 "
+        "is still moving at the round cap\n"
+    )
+    assert not out.exists()
 
 
 def test_three_microgrids_are_refused_at_load(tmp_path, capsys):

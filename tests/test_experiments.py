@@ -31,8 +31,8 @@ from gridstore import (
     write_required_price_csv,
     write_sweep_csv,
 )
-from gridstore import experiments
-from gridstore.errors import NoCoveragePrice
+from gridstore import experiments, solver
+from gridstore.errors import NoCoveragePrice, NotConverged
 
 from helpers import covering_kind
 
@@ -287,6 +287,38 @@ def test_covering_price_battery_solve_budget(monkeypatch):
     assert len(prices) <= 160
 
 
+def test_battery_framed_best_response_budget(monkeypatch):
+    # The published grids.  A solve reuses its repeated responses and
+    # extrapolates as soon as it has three iterates: 1,639 framed
+    # responses in the three sweep families and 434 in the covering-price
+    # family (2,063 and 484 when it waited for three fresh rounds).
+    calls = []
+    real = solver.grid_best_response
+
+    def counted(player, opponent_alpha, scenario):
+        calls.append(player)
+        return real(player, opponent_alpha, scenario)
+
+    monkeypatch.setattr(solver, "grid_best_response", counted)
+    references = experiments.inclusive_grid(5.0, 16.0, 0.25)
+    sweep_reference_point(
+        SweepSpec(default_scenario(), "reference_point", values=references)
+    )
+    sweep_emergency_price(
+        SweepSpec(
+            default_scenario(lam=4.0), "emergency_price", values=(10.2, 11.0, 12.0),
+            reference_values=references,
+        )
+    )
+    asymmetric_equilibrium(default_scenario(), experiments.inclusive_grid(5.0, 25.0, 0.5))
+    assert len(calls) <= 1650
+    calls.clear()
+    lams = experiments.inclusive_grid(1.0, 4.0, 0.5)
+    for reference in (11.5, 12.5):
+        required_emergency_price(default_scenario(reference=reference), lams)
+    assert len(calls) <= 440
+
+
 def test_covering_price_search_ignores_a_far_price_ceiling(monkeypatch):
     _count_solves(monkeypatch, limit=20)
     row = required_emergency_price(default_scenario(), (1.0,), price_hi=1e15)[0]
@@ -302,6 +334,18 @@ def test_covering_price_search_survives_a_huge_incentive_floor(monkeypatch):
     assert 1e16 < row.rho_c_star < 4e16
     assert row.total_stored_kwh >= base.grid.l_c
     assert row.converged
+
+
+def test_covering_price_search_refuses_a_solve_at_the_round_cap():
+    # rho/theta = 1e16 again, scaled so that the solve at the covering
+    # price the search lands on stops at the round cap: its profile cannot
+    # decide coverage.
+    base = default_scenario()
+    base = replace(base, grid=replace(base.grid, rho=1e-3, theta=1e-19, rho_c=2e16))
+    with pytest.raises(NotConverged) as exc_info:
+        required_emergency_price(base, (1.0,), price_hi=4e16)
+    assert exc_info.value.lam == 1.0
+    assert 1e16 < exc_info.value.price < 4e16
 
 
 @pytest.mark.parametrize("price_hi", [11.285, 11.28])

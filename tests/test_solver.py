@@ -67,7 +67,8 @@ def test_quadrature_contested_matches_closed_form_value():
 EXPORTS = {
     "Belief", "BestResponseCase", "EmergencyPriceRow",
     "EquilibriumResult", "GridParams", "GridStoreError", "InvalidScenario",
-    "MicrogridConfig", "MissingProspectParams", "NoCoveragePrice", "NotTwoPlayer",
+    "MicrogridConfig", "MissingProspectParams", "NoCoveragePrice", "NotConverged",
+    "NotTwoPlayer",
     "ProspectParams", "RequiredPriceRow", "Scenario", "StrategyProfile",
     "SweepRow", "SweepSpec", "asymmetric_equilibrium", "best_response_cgt",
     "bne_candidates", "default_scenario", "enumerate_bne", "expected_pt_utility",
