@@ -83,54 +83,48 @@ def framed_evaluators(a2, q1, q2max, rho, k, lc, pp: ProspectParams):
     at_ref = math.inf if min(bp, bm) < 1.0 else max(1.0, lam)  # the steeper side's
     m_g = m_l = drift = None
 
-    def place(a1):  # (u1, split, u_hi); split and u_hi are None when uncontested
-        keep, stored = rq * (1.0 - a1), a1 * q1
-        u1 = keep + kq * a1
-        if idle or stored + a2q <= lc:
-            return u1, None, None
-        return u1, (lc - stored) / a2, keep + hk * (stored + lc - a2q)
-
-    def value_slope(u):  # of pt_value
-        d = u - r
+    def value_slope(d):  # of pt_value at u = r + d
         if d > 0.0:
             return bp * d**bp_1
         return lbm * (-d) ** bm_1 if d < 0.0 else at_ref
 
-    def value_curvature(u):  # of pt_value, 0 at the reference
-        d = u - r
-        if d > 0.0:
-            return bpc * d**bp_2
-        return lbmc * (-d) ** bm_2 if d < 0.0 else 0.0
-
+    # Each closure writes the contested geometry out (the split is
+    # (lc - stored)/a2): a shared helper's call costs a tenth of a response.
     def utility(a1):
         nonlocal m_g, m_l
-        u1, split, u_hi = place(a1)
+        keep, stored = rq * (1.0 - a1), a1 * q1
+        u1 = keep + kq * a1
         v1 = pt_value(u1, pp)
-        if split is None:
+        if idle or stored + a2q <= lc:
             return v1
+        u_hi = keep + hk * (stored + lc - a2q)
         if m_g is None:
             m_g, m_l = -2.0 / (bp1 * k * a2 * q2max), -2.0 * lam / (bm1 * k * a2 * q2max)
         gain = m_g * (max(u_hi - r, 0.0) ** bp1 - max(u1 - r, 0.0) ** bp1)
         loss = m_l * (max(r - u_hi, 0.0) ** bm1 - max(r - u1, 0.0) ** bm1)
-        return (split / q2max) * v1 + (gain + loss)
+        return ((lc - stored) / a2 / q2max) * v1 + (gain + loss)
 
     def slope(a1):
         nonlocal drift
-        u1, split, u_hi = place(a1)
-        own = c * value_slope(u1)
-        if split is None:
+        keep, stored = rq * (1.0 - a1), a1 * q1
+        u1 = keep + kq * a1
+        own = c * value_slope(u1 - r)
+        if idle or stored + a2q <= lc:
             return own
         if drift is None:
             drift = e * 2.0 / (ka2 * q2max)
-        return (split / q2max) * own + drift * (pt_value(u1, pp) - pt_value(u_hi, pp))
+        u_hi = keep + hk * (stored + lc - a2q)
+        return ((lc - stored) / a2 / q2max) * own + drift * (pt_value(u1, pp) - pt_value(u_hi, pp))
 
     def curvature(a1):
-        u1, split, u_hi = place(a1)
-        own = cc * value_curvature(u1)
-        if split is None:
+        keep, stored = rq * (1.0 - a1), a1 * q1
+        d = keep + kq * a1 - r
+        own = cc * (bpc * d**bp_2 if d > 0.0 else lbmc * (-d) ** bm_2 if d < 0.0 else 0.0)
+        if idle or stored + a2q <= lc:
             return own
-        pull = rqc * value_slope(u1) + ee * value_slope(u_hi)
-        return (split * own - 2.0 * pull / ka2) / q2max
+        d_hi = keep + hk * (stored + lc - a2q) - r
+        pull = rqc * value_slope(d) + ee * value_slope(d_hi)
+        return (((lc - stored) / a2) * own - 2.0 * pull / ka2) / q2max
 
     return utility, slope, curvature
 
