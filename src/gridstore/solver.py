@@ -171,10 +171,11 @@ def grid_best_response(player: int, opponent_alpha: float, s: Scenario) -> float
             f_hi = slope(hi)
         if f_lo > 0.0 > f_hi:
             candidates.append(_falling_root(slope, lo, hi, f_lo, f_hi))
-    scored = [(utility(a), a) for a in sorted(candidates)]
-    if not all(math.isfinite(u) for u, _ in scored):
+    candidates.sort()
+    scores = [utility(a) for a in candidates]
+    if not all(map(math.isfinite, scores)):
         raise FloatingPointError("framed utility is not finite")
-    return max(scored, key=lambda pair: pair[0])[1]
+    return candidates[scores.index(max(scores))]  # the first, so the smallest, best
 
 
 # ---------------------------------------------------------------------------
