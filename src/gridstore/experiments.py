@@ -26,8 +26,9 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .cgt import EquilibriumResult, enumerate_bne
-from .errors import GridStoreError, MissingProspectParams, NoCoveragePrice, NotConverged
-from .errors import require_finite
+from .errors import (
+    GridStoreError, MissingProspectParams, NoCoveragePrice, NotConverged, require_finite,
+)
 from .model import (
     GridParams,
     MicrogridConfig,
@@ -407,7 +408,7 @@ def required_emergency_price(
                 hi = mid
             else:
                 lo = mid
-        for i in (lo, hi)[lo < first :]:  # a profile still moving decides nothing
+        for i in (lo, hi) if lo >= first else (hi,):  # a moving profile decides nothing
             if not solve(price(i)).converged:
                 raise NotConverged(lam, price(i))
         star = price(hi)

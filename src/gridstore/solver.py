@@ -7,8 +7,8 @@ it, so it imports ``scipy.integrate`` (the ``test`` extra) on its first
 call rather than with this module.  The framed best response takes the
 roots of the closed form's analytic slope, with ``pt.framed_evaluators``
 built once per response; the iteration solver alternates best responses,
-with an Aitken step from every three iterates, to a fixed point.  All
-but the oracle runs on plain floats.
+with Steffensen's form of Aitken steps, to a fixed point.  All but the
+oracle runs on plain floats.
 
 The numerics are fixed: a 1e-12 fixed-point tolerance (``TOL``), a
 200-round guard (``MAX_ROUNDS``), a 1e-5 match to a rational BNE

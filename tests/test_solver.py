@@ -370,7 +370,7 @@ def _with_exponents(s: Scenario, j: int) -> Scenario:
 
 
 def _single_rows():
-    """(scenario, opponent fraction) rows that each once hid a maximum:
+    """Single (scenario, opponent fraction) rows:
 
     * the narrow peak just past the reference crossing;
     * a maximum just past the contested boundary, which the curvature read
