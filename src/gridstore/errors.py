@@ -35,7 +35,11 @@ class MissingProspectParams(GridStoreError):
 
 
 class NoCoveragePrice(GridStoreError):
-    """No emergency price up to the search ceiling covers the critical load."""
+    """The covering-price search's strides reached the ceiling's cent, which does not cover.
+
+    Cents between strides are not solved, so a window of covering cents
+    narrower than a stride can lie below the ceiling.
+    """
 
     def __init__(self, lam: float, price_hi: float):
         self.lam = lam

@@ -333,11 +333,17 @@ def required_emergency_price(
     condition) to ``price_hi`` rounded up to a cent.  For each
     loss-aversion level the search steps upward from the first cent, 50
     cents at a time (or 1/64 of the price, once that is larger), to the
-    first cent that covers, then bisects between it and the cent it
-    stepped from.  Each price is solved at most once.  Raises
-    NoCoveragePrice when the top cent leaves the load uncovered, and
-    NotConverged when the solve at the star or the cent below stopped at
-    the round cap.
+    first cent that covers.  Between that cent and the one it stepped
+    from it reads the gap, stored total minus critical load, and steps
+    by false position in the Illinois form (Dowell & Jarratt, BIT 11,
+    1971): the next cent is the gaps' linear crossing, held strictly
+    inside the bracket, and an end kept twice in a row has its gap
+    halved.  The stored total is near-linear close to the load, so the
+    first such cent usually lands on the answer or next to it.  Each
+    price is solved at most once.  Raises NoCoveragePrice when the
+    strides reach the top cent and it leaves the load uncovered, and
+    NotConverged when the solve at the star or the cent below stopped
+    at the round cap.
 
     The reported price covers the load, and the cent below it does not
     (or lies at or under the incentive floor): it is a local crossing.
@@ -357,21 +363,15 @@ def required_emergency_price(
     lams = tuple(float(v) for v in lambda_values)
     _require_increasing("lambda_values", lams)
 
-    def with_price(lam: float, rho_c: float) -> Scenario:
+    # Each loss-aversion level's scenario is built once and validated
+    # with the reference applied before any solve, so a non-finite
+    # reference or a lambda below 1 is refused.
+    scenarios = []
+    for lam in lams:
         prospect = tuple(
             replace(p, r=reference, lam=lam) if p is not None else None for p in base.prospect
         )
-        return replace(
-            base,
-            grid=replace(base.grid, rho_c=rho_c),
-            prospect=prospect,
-        )
-
-    # Every loss-aversion level is validated with the reference applied
-    # before any solve, so a non-finite reference or a lambda below 1 is
-    # refused.
-    for lam in lams:
-        validate_scenario(with_price(lam, base.grid.rho_c))
+        scenarios.append(validate_scenario(replace(base, prospect=prospect)))
     target = base.grid.l_c
     lo_floor = base.grid.rho / base.grid.theta * (1.0 + 1e-6)
     if not (math.isfinite(price_hi) and price_hi > lo_floor):
@@ -382,48 +382,60 @@ def required_emergency_price(
     # The search walks integer cent indices, so every price it solves
     # is a whole cent; the top one stands in for price_hi.
     first, last = (math.ceil(p / PRICE_STEP - 1e-9) for p in (lo_floor, price_hi))
+    label = f"required_emergency_price:R={reference:g}"  # one string shared by the rows
 
-    def search(lam: float) -> RequiredPriceRow:
+    def search(lam: float, framed_base: Scenario) -> RequiredPriceRow:
+        def with_price(rho_c: float) -> Scenario:
+            return replace(framed_base, grid=replace(base.grid, rho_c=rho_c))
+
         @functools.cache  # the row reuses the solve at the covering price
         def solve(rho_c: float) -> EquilibriumResult:
-            return iterate_best_response(with_price(lam, rho_c))
+            return iterate_best_response(with_price(rho_c))
 
         def price(i: int) -> float:
             return round(i * PRICE_STEP, 2)
 
-        def covers(i: int) -> bool:  # the price leaves the surpluses alone
-            return _total_stored(solve(price(i)).profile, base) >= target
+        def gap(i: int) -> float:  # the price leaves the surpluses alone
+            return _total_stored(solve(price(i)).profile, base) - target
 
-        if not covers(last):
-            raise NoCoveragePrice(lam, price_hi)
         # Cent lo never covers (or lies under the floor).  Strides grow
         # with the price above 32, so the solves grow with the logarithm
         # of the price range, not with the range.
         lo, hi = first - 1, first
-        while not covers(hi):
-            lo, hi = hi, min(hi + max(50, hi // 64), last)
+        while not (g_hi := gap(hi)) >= 0.0:
+            if hi == last:
+                raise NoCoveragePrice(lam, price_hi)
+            lo, g_lo = hi, g_hi
+            hi = min(hi + max(50, hi // 64), last)
+        # lo lies under the floor only when hi is the first cent, so
+        # inside this loop both ends carry a gap.
+        moved = 0  # the end the last step replaced: +1 hi, -1 lo
         while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if covers(mid):
-                hi = mid
+            mid = hi - round(g_hi * (hi - lo) / (g_hi - g_lo))
+            mid = min(max(mid, lo + 1), hi - 1)
+            if (g := gap(mid)) >= 0.0:
+                if moved == 1:  # lo kept twice
+                    g_lo *= 0.5
+                hi, g_hi, moved = mid, g, 1
             else:
-                lo = mid
+                if moved == -1:  # hi kept twice
+                    g_hi *= 0.5
+                lo, g_lo, moved = mid, g, -1
         for i in (lo, hi) if lo >= first else (hi,):  # a moving profile decides nothing
             if not solve(price(i)).converged:
                 raise NotConverged(lam, price(i))
         star = price(hi)
-        scenario = with_price(lam, star)
         return _row(
-            f"required_emergency_price:R={reference:g}",
+            label,
             lam,
-            scenario,
+            with_price(star),
             solve(star),
             RequiredPriceRow,
             reference=reference,
             rho_c_star=star,
         )
 
-    return [search(lam) for lam in lams]
+    return [search(lam, scenario) for lam, scenario in zip(lams, scenarios)]
 
 
 def asymmetric_equilibrium(

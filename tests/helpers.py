@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
 
+from gridstore.errors import NoCoveragePrice, NotConverged
+from gridstore.experiments import PRICE_STEP
 from gridstore.model import (
     GridParams,
     MicrogridConfig,
@@ -15,7 +18,7 @@ from gridstore.model import (
     Scenario,
     StrategyProfile,
 )
-from gridstore.solver import grid_best_response
+from gridstore.solver import grid_best_response, iterate_best_response
 
 BENCH_PROSPECT = ProspectParams(r=11.5, lam=2.25, beta_plus=0.88, beta_minus=0.88)
 # The only (uncontested sign, contested branch) cells a valid contested
@@ -359,3 +362,46 @@ def covering_kind(row) -> str:
     if max(row.alpha_1, row.alpha_2) == 1.0:
         return "one-sided"
     return "asymmetric"
+
+
+def stride_bisect_covering_price(s: Scenario, price_hi: float = 30.0) -> tuple[float, int]:
+    """Reference covering-price search: whole-cent strides, then bisection.
+
+    ``s`` carries the reference point and the loss aversion of one
+    ``experiments.required_emergency_price`` search.  It solves the top
+    cent first and raises NoCoveragePrice if that does not cover, then
+    strides up from rho/theta by 50 cents (or 1/64 of the price) to the
+    first covering cent, and bisects between it and the cent it stepped
+    from on coverage alone.  Raises NotConverged as the library does.
+    Returns the covering price and the number of prices solved.
+    """
+    lam = s.prospect[0].lam
+    solved = {}
+
+    def solve(i: int):
+        price = round(i * PRICE_STEP, 2)
+        if price not in solved:
+            solved[price] = iterate_best_response(replace(s, grid=replace(s.grid, rho_c=price)))
+        return solved[price]
+
+    def covers(i: int) -> bool:
+        profile = solve(i).profile
+        return profile[0] * s.surpluses[0] + profile[1] * s.surpluses[1] >= s.grid.l_c
+
+    lo_floor = s.grid.rho / s.grid.theta * (1.0 + 1e-6)
+    first, last = (math.ceil(p / PRICE_STEP - 1e-9) for p in (lo_floor, price_hi))
+    if not covers(last):
+        raise NoCoveragePrice(lam, price_hi)
+    lo, hi = first - 1, first
+    while not covers(hi):
+        lo, hi = hi, min(hi + max(50, hi // 64), last)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if covers(mid):
+            hi = mid
+        else:
+            lo = mid
+    for i in (lo, hi) if lo >= first else (hi,):
+        if not solve(i).converged:
+            raise NotConverged(lam, round(i * PRICE_STEP, 2))
+    return round(hi * PRICE_STEP, 2), len(solved)

@@ -303,7 +303,26 @@ def test_find_price_unreachable_ceiling_is_exit_four(tmp_path, capsys):
         ]
     )
     assert code == 4
-    assert "error" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: total stored never reaches the critical load for loss aversion 1 "
+        "with emergency price up to 10.5\n"
+    )
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("price_max", ["11.5", "12"])
+def test_find_price_window_under_a_ceiling_that_does_not_cover(price_max, tmp_path, capsys):
+    # 11.01..11.25 cover and 11.26..12.08 do not: the top cent lies in
+    # the gap, but the search reaches the window before it.
+    out = tmp_path / "stars.csv"
+    argv = ["find-price", "--config", CONFIG, "--reference", "13.251545058135042"]
+    argv += ["--from", "2.4340982337820005", "--to", "2.4340982337820005"]
+    argv += ["--price-max", price_max, "--out", str(out)]
+    assert run(argv) == 0
+    assert capsys.readouterr().out.strip() == str(out)
+    lines = out.read_text().splitlines()
+    assert len(lines) == 2
+    assert lines[1].startswith("required_emergency_price:R=13.2515,2.43409823,11.01,")
 
 
 def test_find_price_output_is_the_published_coverage_csv(tmp_path):
@@ -318,8 +337,9 @@ def test_find_price_output_is_the_published_coverage_csv(tmp_path):
 
 
 def test_find_price_round_cap_is_exit_four(tmp_path, capsys):
-    # rho/theta = 1e16: the solve at the covering price the search lands
-    # on is still moving at the round cap, so it decides nothing.
+    # rho/theta = 1e16: the solve at the cent below the covering price
+    # the search lands on is still moving at the round cap, so it
+    # decides nothing.
     out = tmp_path / "x.csv"
     argv = ["find-price", "--config", CONFIG, "--override", "grid.rho=1e-3"]
     argv += ["--override", "grid.theta=1e-19", "--override", "grid.rho_c=2e16"]
@@ -328,7 +348,7 @@ def test_find_price_round_cap_is_exit_four(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "error: the equilibrium for loss aversion 1 at emergency price 1.11110387494787e+16 "
+        "error: the equilibrium for loss aversion 1 at emergency price 1.11110387494694e+16 "
         "is still moving at the round cap\n"
     )
     assert not out.exists()

@@ -34,7 +34,7 @@ from gridstore import (
 from gridstore import experiments, solver
 from gridstore.errors import NoCoveragePrice, NotConverged
 
-from helpers import covering_kind
+from helpers import covering_kind, stride_bisect_covering_price
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -211,7 +211,7 @@ def _count_solves(monkeypatch, limit: int = 1_000) -> list[float]:
 
 
 def test_covering_price_search_solves_each_price_once(monkeypatch):
-    # At lam = 1 the bisection solves the covering price 11.28 before the
+    # At lam = 1 the search solves the covering price 11.28 before the
     # row is built from it.
     prices = _count_solves(monkeypatch)
     row = required_emergency_price(default_scenario(), lambda_values=(1.0,))[0]
@@ -271,27 +271,72 @@ def test_covering_price_is_a_local_crossing_on_shifted_grids(seed, reference):
 def test_covering_price_finds_a_window_between_branches():
     # Here 11.01..11.25 cover, 11.26..12.08 do not, and 12.09 covers
     # again.  The earlier coarse scan from rho/theta in steps of 0.5
-    # stepped over the first window and reported 12.09.
+    # stepped over the first window and reported 12.09.  A ceiling of 12
+    # or 11.5 puts the top cent in the gap; solving it up front raised
+    # NoCoveragePrice there, though the strides reach the window first.
     reference, lam = 13.251545058135042, 2.4340982337820005
-    row = required_emergency_price(default_scenario(reference=reference), (lam,))[0]
-    assert row.rho_c_star == 11.01
+    base = default_scenario(reference=reference)
+    for price_hi in (30.0, 12.0, 11.5):
+        row = required_emergency_price(base, (lam,), price_hi=price_hi)[0]
+        assert row.rho_c_star == 11.01
     _assert_local_crossing(reference, lam, 11.01)
 
 
 def test_covering_price_battery_solve_budget(monkeypatch):
-    # The published battery's 14 searches.
+    # The published battery's 14 searches: 92 solves (159 when the
+    # search bisected on coverage alone after solving the top cent).
     prices = _count_solves(monkeypatch)
     lams = experiments.inclusive_grid(1.0, 4.0, 0.5)
     for reference in (11.5, 12.5):
         required_emergency_price(default_scenario(reference=reference), lams)
-    assert len(prices) <= 160
+    assert len(prices) <= 92
+
+
+def _assert_matches_stride_bisect(base, price_hi: float = 30.0) -> None:
+    """The library reports the reference search's star, or raises its
+    exception, and solves no more prices than the reference."""
+    try:
+        expected = stride_bisect_covering_price(base, price_hi)
+    except (NoCoveragePrice, NotConverged) as exc:
+        expected = exc
+    lam = base.prospect[0].lam
+    with pytest.MonkeyPatch.context() as mp:
+        prices = _count_solves(mp)
+        try:
+            got = required_emergency_price(base, (lam,), price_hi=price_hi)[0].rho_c_star
+        except (NoCoveragePrice, NotConverged) as exc:
+            got = exc
+    if isinstance(expected, Exception):
+        assert type(got) is type(expected) and got.args == expected.args
+        return
+    star, solves = expected
+    assert got == star
+    assert len(prices) <= solves
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    reference=st.floats(min_value=5.0, max_value=16.0),
+    lam=st.floats(min_value=1.0, max_value=4.0),
+)
+def test_covering_price_matches_the_stride_bisect_search(reference, lam):
+    _assert_matches_stride_bisect(default_scenario(reference=reference, lam=lam))
+
+
+def test_covering_price_matches_the_stride_bisect_search_at_far_prices():
+    # A far price ceiling, and rho/theta = 1e16 with a ceiling at 4e16.
+    base = default_scenario(lam=1.0)
+    _assert_matches_stride_bisect(base, price_hi=1e15)
+    huge_floor = replace(base, grid=replace(base.grid, rho=1e14, rho_c=2e16))
+    _assert_matches_stride_bisect(huge_floor, price_hi=4e16)
 
 
 def test_battery_framed_best_response_budget(monkeypatch):
     # The published grids.  A solve reuses its repeated responses and
     # extrapolates as soon as it has three iterates: 1,639 framed
-    # responses in the three sweep families and 434 in the covering-price
-    # family (2,063 and 484 when it waited for three fresh rounds).
+    # responses in the three sweep families (2,063 when it waited for
+    # three fresh rounds).  The covering-price family makes 244, since its
+    # search reads the stored total (434 when it bisected on coverage).
     calls = []
     real = solver.grid_best_response
 
@@ -316,7 +361,7 @@ def test_battery_framed_best_response_budget(monkeypatch):
     lams = experiments.inclusive_grid(1.0, 4.0, 0.5)
     for reference in (11.5, 12.5):
         required_emergency_price(default_scenario(reference=reference), lams)
-    assert len(calls) <= 440
+    assert len(calls) <= 244
 
 
 def test_covering_price_search_ignores_a_far_price_ceiling(monkeypatch):
@@ -337,9 +382,9 @@ def test_covering_price_search_survives_a_huge_incentive_floor(monkeypatch):
 
 
 def test_covering_price_search_refuses_a_solve_at_the_round_cap():
-    # rho/theta = 1e16 again, scaled so that the solve at the covering
-    # price the search lands on stops at the round cap: its profile cannot
-    # decide coverage.
+    # rho/theta = 1e16 again, scaled so that the solve at the cent below
+    # the covering price the search lands on stops at the round cap: its
+    # profile cannot decide coverage.
     base = default_scenario()
     base = replace(base, grid=replace(base.grid, rho=1e-3, theta=1e-19, rho_c=2e16))
     with pytest.raises(NotConverged) as exc_info:
