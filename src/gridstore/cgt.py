@@ -119,13 +119,15 @@ def best_response_cgt(
     return 1.0, BestResponseCase("PriceDominatedStoreAll", t, slack)
 
 
+def _best_response_gaps(profile: StrategyProfile, s: Scenario, tol: float) -> list[float] | None:
+    """Each player's distance from its best response, or None if one exceeds ``tol``."""
+    gaps = [abs(profile[p] - best_response_cgt(p, profile[1 - p], s)[0]) for p in (0, 1)]
+    return None if gaps[0] > tol or gaps[1] > tol else gaps
+
+
 def verify_bne(profile: StrategyProfile, s: Scenario, tol: float = 1e-9) -> bool:
     """Check mutual best responses within ``tol``."""
-    for p in (0, 1):
-        br, _ = best_response_cgt(p, profile[1 - p], s)
-        if abs(profile[p] - br) > tol:
-            return False
-    return True
+    return _best_response_gaps(profile, s, tol) is not None
 
 
 def _interior_coefficients(player: int, s: Scenario) -> tuple[float, float] | None:
@@ -228,15 +230,12 @@ def enumerate_bne(s: Scenario) -> list[EquilibriumResult]:
     for classification, profile, conditions in bne_candidates(s):
         if not all(0.0 <= a <= 1.0 for a in profile):
             continue
-        if not verify_bne(profile, s):
+        gaps = _best_response_gaps(profile, s, 1e-9)
+        if gaps is None:
             continue
         if any(abs(profile[0] - p0) <= _SNAP and abs(profile[1] - p1) <= _SNAP for p0, p1 in seen):
             continue
         seen.append(profile)
-        gaps = []
-        for p in (0, 1):
-            br, _ = best_response_cgt(p, profile[1 - p], s)
-            gaps.append(abs(profile[p] - br))
         results.append(
             EquilibriumResult(
                 profile=profile,

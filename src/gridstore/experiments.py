@@ -85,9 +85,16 @@ MAX_GRID_VALUES = 10_000
 def inclusive_grid(lo: float, hi: float, step: float) -> tuple[float, ...]:
     """``lo``, ``lo + step``, ... through ``hi`` (``step > 0``, ``hi >= lo``), rounded to 12 digits.
 
-    A last value within 1e-9 of a step past ``hi`` is kept.  More than
-    ``MAX_GRID_VALUES`` raise ``ValueError`` before any is built.
+    A last value within 1e-9 of a step past ``hi`` is kept.  A non-finite
+    argument, ``step <= 0``, ``hi < lo`` or more than ``MAX_GRID_VALUES``
+    values raise ``ValueError`` before any is built.
     """
+    if not all(map(math.isfinite, (lo, hi, step))):
+        raise ValueError("lo, hi and step must be finite")
+    if step <= 0.0:
+        raise ValueError("step must be > 0")
+    if hi < lo:
+        raise ValueError("hi must be >= lo")
     span = (hi - lo) / step + 1e-9
     if not span < MAX_GRID_VALUES:
         raise ValueError(f"more than {MAX_GRID_VALUES} grid values")
@@ -144,6 +151,8 @@ class SweepSpec:
 def _require_increasing(name: str, values: tuple[float, ...]) -> None:
     if not values:
         raise ValueError(f"{name} must be nonempty")
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"{name} must be finite")
     if any(b <= a for a, b in zip(values, values[1:])):
         raise ValueError(f"{name} must be strictly increasing")
 

@@ -7,15 +7,15 @@ expected framed utility against a uniform opponent type still splits
 into an uncontested part (a point mass in utility space) and a contested
 integral, which takes the antiderivative of each value segment, gain and
 loss, between the untrimmed utility and the trimmed one at the largest
-opponent surplus.  ``framed_evaluators`` builds it, its slope and its
-curvature in the own fraction at once.  Everything runs on plain floats.
+opponent surplus.  ``framed_evaluators`` returns four values at once: it,
+its slope and its curvature in the own fraction, and the cuts where those
+break.  Everything runs on plain floats.
 
-For a fixed opponent fraction ``a2``, ``utility_breakpoints`` cut the own
-fractions [0, 1] into pieces on each of which the slope is quasi-convex:
-it falls, rises, or falls and then rises.  With ``c = q1*(k - rho) > 0``
-and ``e = q1*(k/2 - rho)`` the rates of ``u1`` and ``u_hi`` in ``a1``, the
-curvature (``expected_pt_utility_curvature``) is ``c**2 v''(u1)``
-uncontested, and contested::
+For a fixed opponent fraction ``a2``, the cuts split the own fractions
+[0, 1] into pieces on each of which the slope is quasi-convex: it falls,
+rises, or falls and then rises.  With ``c = q1*(k - rho) > 0`` and
+``e = q1*(k/2 - rho)`` the rates of ``u1`` and ``u_hi`` in ``a1``, the
+curvature is ``c**2 v''(u1)`` uncontested, and contested::
 
     (split * c**2 v''(u1) - 2/(k*a2) * (rho*q1*c v'(u1) + e**2 v'(u_hi))) / q2max
 
@@ -64,14 +64,18 @@ def _require_framed(player: int, s: Scenario) -> ProspectParams:
 
 
 def framed_evaluators(a2, q1, q2max, rho, k, lc, pp: ProspectParams):
-    """Expected framed utility, slope and curvature in the own fraction ``a1``.
+    """Expected framed utility, slope and curvature in the own fraction ``a1``, and cuts.
 
     Three closures against a fixed ``a2`` that compute every term free of
-    ``a1`` once.  Past the split the trimmed utility falls linearly from
-    ``u1`` to ``u_hi``, so each value segment, gain and loss, integrates to
-    its antiderivative between the two, and in the slope the terms at the
-    split cancel.  Where ``u1`` meets a curved reference the slope is +inf
-    and the curvature infinite; the curvature also jumps at the contested
+    ``a1`` once, and the cuts: the own fractions in (0, 1), ascending, that
+    split the slope into quasi-convex pieces.  They are the contested
+    boundary (the curvature jumps) and where ``u1`` meets the reference
+    (the slope jumps or is infinite); a crossing at rate 0 has none.  Past
+    the split the trimmed utility falls linearly from ``u1`` to ``u_hi``,
+    so each value segment, gain and loss, integrates to its antiderivative
+    between the two, and in the slope the terms at the split cancel.
+    Where ``u1`` meets a curved reference the slope is +inf and the
+    curvature infinite; the curvature also jumps at the contested
     boundary, so read it inside a piece.  The constants dividing by
     ``k*a2*q2max`` wait for the first contested read, which alone raises at 0.
     """
@@ -82,6 +86,8 @@ def framed_evaluators(a2, q1, q2max, rho, k, lc, pp: ProspectParams):
     bpc, lbmc, bp_2, bm_2 = bp * bp_1, lbm * (1.0 - bm), bp - 2.0, bm - 2.0
     at_ref = math.inf if min(bp, bm) < 1.0 else max(1.0, lam)  # the steeper side's
     m_g = m_l = drift = None
+    crossings = ((lc - a2q, q1), (r - rq, c))
+    cuts = sorted({x / rate for x, rate in crossings if rate != 0.0 and 0.0 < x / rate < 1.0})
 
     def value_slope(d):  # of pt_value at u = r + d
         if d > 0.0:
@@ -126,35 +132,10 @@ def framed_evaluators(a2, q1, q2max, rho, k, lc, pp: ProspectParams):
         pull = rqc * value_slope(d) + ee * value_slope(d_hi)
         return (((lc - stored) / a2) * own - 2.0 * pull / ka2) / q2max
 
-    return utility, slope, curvature
-
-
-def expected_pt_utility_scalar(a1, a2, q1, q2max, rho, k, lc, pp: ProspectParams) -> float:
-    """Expected framed utility of the own fraction ``a1`` against the opponent's ``a2``."""
-    return framed_evaluators(a2, q1, q2max, rho, k, lc, pp)[0](a1)
-
-
-def expected_pt_utility_slope(a1, a2, q1, q2max, rho, k, lc, pp: ProspectParams) -> float:
-    """Derivative of ``expected_pt_utility_scalar`` in the own fraction ``a1``."""
-    return framed_evaluators(a2, q1, q2max, rho, k, lc, pp)[1](a1)
-
-
-def expected_pt_utility_curvature(a1, a2, q1, q2max, rho, k, lc, pp: ProspectParams) -> float:
-    """Derivative of ``expected_pt_utility_slope`` in ``a1``."""
-    return framed_evaluators(a2, q1, q2max, rho, k, lc, pp)[2](a1)
-
-
-def utility_breakpoints(a2, q1, q2max, rho, k, lc, pp: ProspectParams) -> list[float]:
-    """Own fractions in (0, 1) that cut the slope into quasi-convex pieces, ascending.
-
-    The contested boundary (the curvature jumps) and where ``u1`` meets the
-    reference (the slope jumps or is infinite); a crossing at rate 0 has none.
-    """
-    crossings = ((lc - a2 * q2max, q1), (pp.r - rho * q1, q1 * (k - rho)))
-    return sorted({x / rate for x, rate in crossings if rate != 0.0 and 0.0 < x / rate < 1.0})
+    return utility, slope, curvature, cuts
 
 
 def expected_pt_utility(player: int, profile: StrategyProfile, s: Scenario) -> float:
     """Closed-form expected framed utility of ``player`` at ``profile``."""
     pp = _require_framed(player, s)
-    return expected_pt_utility_scalar(profile[player], profile[1 - player], *s.duel(player), pp)
+    return framed_evaluators(profile[1 - player], *s.duel(player), pp)[0](profile[player])

@@ -137,24 +137,24 @@ def _falling_root(f: Callable[[float], float], lo, hi, f_lo, f_hi) -> float:
 def grid_best_response(player: int, opponent_alpha: float, s: Scenario) -> float:
     """Argmax of the framed closed-form expected utility over the own fraction.
 
-    [0, 1] is cut at ``pt.utility_breakpoints``, where slope or curvature
-    jump or blow up, so each piece is read 2**-30 of its width inside its
-    ends.  The slope falls, rises, or falls and then rises on a piece (the
-    ``pt`` docstring), so every maximum is a root where the slope goes
-    from + to - between two reads (across a cut, a kink), or left of the
-    slope's minimum, a root of the curvature, when the slope dips below 0
-    there.  The best-scoring of 0, 1 and those roots wins, the smaller on
-    a tie; a score that is not finite raises ``FloatingPointError``.
+    [0, 1] is cut where slope or curvature jump or blow up (the cuts
+    ``pt.framed_evaluators`` returns with them), so each piece is read
+    2**-30 of its width inside its ends.  The slope falls, rises, or
+    falls and then rises on a piece (the ``pt`` docstring), so every
+    maximum is a root where the slope goes from + to - between two reads
+    (across a cut, a kink), or left of the slope's minimum, a root of
+    the curvature, when the slope dips below 0 there.  The best-scoring of
+    0, 1 and those roots wins, the smaller on a tie; a score that is not
+    finite raises ``FloatingPointError``.
     """
     pp = pt._require_framed(player, s)
-    q1, q2max, rho, k, lc = s.duel(player)
-    args = (float(opponent_alpha), q1, q2max, rho, k, lc, pp)
-    utility, slope, curvature = pt.framed_evaluators(*args)
+    a_opp = float(opponent_alpha)
+    utility, slope, curvature, inner = pt.framed_evaluators(a_opp, *s.duel(player), pp)
 
     def fall(a1: float) -> float:
         return -curvature(a1)
 
-    cuts = [0.0, *pt.utility_breakpoints(*args), 1.0]
+    cuts = [0.0, *inner, 1.0]
     probes = []
     for lo, hi in zip(cuts, cuts[1:]):
         inset = (hi - lo) * 2.0**-30

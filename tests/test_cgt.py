@@ -19,10 +19,12 @@ from hypothesis import given, settings, strategies as st
 from gridstore import (
     StrategyProfile,
     best_response_cgt,
+    default_scenario,
     enumerate_bne,
     expected_utility_cgt,
     verify_bne,
 )
+from gridstore import cgt
 
 from helpers import (
     benchmark_scenario,
@@ -130,6 +132,24 @@ def test_verify_bne_rejects_full_storage_when_contested():
     s = benchmark_scenario()
     assert not verify_bne(StrategyProfile.of(1.0, 1.0), s)
     assert verify_bne(StrategyProfile.of(1.0, 1.0), benchmark_scenario(l_c=400.0))
+
+
+def test_enumerate_computes_each_best_response_once(monkeypatch):
+    # Verifying a candidate and reporting its residual share one pair of
+    # best responses, both players' even when the first one misses.
+    s = default_scenario(framed=False)
+    in_range = [c for _, c, _ in cgt.bne_candidates(s) if all(0.0 <= a <= 1.0 for a in c)]
+    calls = []
+    real = cgt.best_response_cgt
+
+    def counted(player, opponent_alpha, scenario):
+        calls.append((player, opponent_alpha))
+        return real(player, opponent_alpha, scenario)
+
+    monkeypatch.setattr(cgt, "best_response_cgt", counted)
+    assert enumerate_bne(s)
+    assert len(in_range) == 4
+    assert calls == [(p, c[1 - p]) for c in in_range for p in (0, 1)]
 
 
 def test_interior_equilibrium_matches_linear_solve():

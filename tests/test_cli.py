@@ -551,6 +551,8 @@ _HUGE = [
         (_SWEEP + ["--from", "nan", "--to", "12", "--step", "0.5"], 2),
         (_SWEEP + ["--from", "11", "--to", "12", "--step", "nan"], 2),
         (_SWEEP + ["--from", "11", "--to", "12", "--step", "1e-300"], 2),
+        (["sweep", "--config", CONFIG, "--param", "emergency-price", "--values", "11,nan,12",
+          "--from", "11", "--to", "12", "--step", "0.5"], 2),
         (["solve-pt", "--config", CONFIG, "--start", "nan,nan"], 2),
         (["solve-pt", "--config", CONFIG, "--start", "2,2"], 2),
         (["solve-pt", "--config", CONFIG, "--start", "0.5,-0.1"], 2),

@@ -7,6 +7,7 @@ import hashlib
 import importlib.util
 import io
 import json
+import math
 import random
 import sys
 from dataclasses import replace
@@ -65,6 +66,47 @@ def test_spec_rejects_bad_grids():
             values=(10.2,),
             reference_values=(12.5, 11.5),
         )
+
+
+def test_inclusive_grid_refuses_what_its_contract_excludes():
+    for lo, hi, step in ((0.0, 1.0, 0.0), (2.0, 1.0, 0.5), (0.0, 1.0, -0.5),
+                         (math.nan, 1.0, 0.5), (0.0, math.inf, 0.5)):
+        with pytest.raises(ValueError):
+            experiments.inclusive_grid(lo, hi, step)
+
+
+_GRID_FAMILIES = {
+    "reference": lambda bad: run_sweep(
+        SweepSpec(base=default_scenario(), swept_parameter="reference_point", values=(5.0, bad))
+    ),
+    "price": lambda bad: run_sweep(
+        SweepSpec(
+            base=default_scenario(),
+            swept_parameter="emergency_price",
+            values=(10.2, bad),
+            reference_values=(11.5,),
+        )
+    ),
+    "price-reference": lambda bad: run_sweep(
+        SweepSpec(
+            base=default_scenario(),
+            swept_parameter="emergency_price",
+            values=(10.2,),
+            reference_values=(11.5, bad),
+        )
+    ),
+    "coverage": lambda bad: required_emergency_price(default_scenario(), (1.0, bad)),
+    "asymmetric": lambda bad: asymmetric_equilibrium(default_scenario(), (5.0, bad)),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("family", sorted(_GRID_FAMILIES))
+def test_non_finite_grid_value_is_refused_before_any_solve(family, bad, monkeypatch):
+    solves = _count_solves(monkeypatch)
+    with pytest.raises(ValueError, match="must be finite"):
+        _GRID_FAMILIES[family](bad)
+    assert solves == []
 
 
 def test_spec_kind_mismatch_rejected():

@@ -27,12 +27,7 @@ from gridstore import (
     quadrature_expected_utility,
 )
 from gridstore.errors import MissingProspectParams
-from gridstore.pt import (
-    expected_pt_utility_curvature,
-    expected_pt_utility_scalar,
-    expected_pt_utility_slope,
-    utility_breakpoints,
-)
+from gridstore.pt import framed_evaluators
 
 from helpers import (
     BENCH_PROSPECT,
@@ -234,7 +229,7 @@ def test_scalar_and_grid_evaluators_agree():
         q1, q2max, rho, k, lc = s.duel(0)
         pp = s.prospect[0]
         dense = float(dense_pt_utility_grid(a1, a2, q1, q2max, rho, k, lc, pp)[0])
-        scalar = expected_pt_utility_scalar(a1, a2, q1, q2max, rho, k, lc, pp)
+        scalar = framed_evaluators(a2, q1, q2max, rho, k, lc, pp)[0](a1)
         assert scalar == pytest.approx(dense, rel=1e-12)
 
 
@@ -254,7 +249,7 @@ def test_framed_value_continuous_at_trimming_onset():
 
 
 def _slope(s, a1: float, a2: float) -> float:
-    return expected_pt_utility_slope(a1, a2, *s.duel(0), s.prospect[0])
+    return framed_evaluators(a2, *s.duel(0), s.prospect[0])[1](a1)
 
 
 def _quadrature_slope(s, a1: float, a2: float, h: float = 1e-6) -> float:
@@ -327,14 +322,12 @@ def _curvature_cases():
 def test_curvature_matches_a_central_difference_of_the_slope():
     checked = 0
     for s, a1, a2 in _curvature_cases():
-        q1, q2max, rho, k, lc = s.duel(0)
-        pp = s.prospect[0]
+        _, _, curvature, cuts = framed_evaluators(a2, *s.duel(0), s.prospect[0])
         h = 1e-6
-        # Away from every breakpoint, so the difference stays on one piece.
-        if min((abs(a1 - b) for b in utility_breakpoints(a2, q1, q2max, rho, k, lc, pp)), default=1.0) < 1e-3:
+        # Away from every cut, so the difference stays on one piece.
+        if min((abs(a1 - b) for b in cuts), default=1.0) < 1e-3:
             continue
         up, down = _slope(s, a1 + h, a2), _slope(s, a1 - h, a2)
-        curvature = expected_pt_utility_curvature(a1, a2, q1, q2max, rho, k, lc, pp)
-        assert curvature == pytest.approx((up - down) / (2.0 * h), rel=1e-5, abs=1e-6 * max(1.0, abs(up)))
+        assert curvature(a1) == pytest.approx((up - down) / (2.0 * h), rel=1e-5, abs=1e-6 * max(1.0, abs(up)))
         checked += 1
     assert checked >= 40

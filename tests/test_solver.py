@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import random
@@ -34,7 +35,6 @@ from gridstore import (
 )
 from gridstore import pt, solver
 from gridstore.experiments import inclusive_grid
-from gridstore.pt import expected_pt_utility_scalar, expected_pt_utility_slope, utility_breakpoints
 from gridstore.solver import TOL
 
 from helpers import (
@@ -146,6 +146,33 @@ def test_package_and_cli_load_no_scipy_until_the_oracle_runs(tmp_path):
     assert report["before_oracle"] == []
     assert report["scipy_after_oracle"]
     assert report["u"] == pytest.approx(13.13103448275844, rel=1e-9)
+
+
+def _unused_public_functions(src: Path) -> list[str]:
+    """``module.function`` for each public module-level function in ``src`` that
+    ``gridstore`` does not export and no package code names outside its own body."""
+    defined, named = [], []  # (module, function); (name, module, enclosing top-level def)
+    for path in sorted(src.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            owner = stmt.name if isinstance(stmt, ast.FunctionDef) else None
+            if owner is not None and not owner.startswith("_"):
+                defined.append((path.stem, owner))
+            for node in ast.walk(stmt):
+                if isinstance(node, (ast.Name, ast.Attribute)):
+                    name = node.id if isinstance(node, ast.Name) else node.attr
+                    named.append((name, path.stem, owner))
+    return [
+        f"{module}.{fn}"
+        for module, fn in defined
+        if fn not in gridstore._EXPORTS
+        and not any(name == fn and (where, owner) != (module, fn) for name, where, owner in named)
+    ]
+
+
+def test_every_public_function_is_exported_or_used_by_the_package():
+    # A public function that only tests or the benchmark call is a wrapper
+    # to fold into its callers.
+    assert _unused_public_functions(Path(gridstore.__file__).resolve().parent) == []
 
 
 def test_quadrature_neutral_framing_is_a_shift():
@@ -277,7 +304,7 @@ def mutual_residual(s, profile) -> float:
 
 
 def _framed_utility(s, player: int, a1: float, a2: float) -> float:
-    return expected_pt_utility_scalar(a1, a2, *s.duel(player), s.prospect[player])
+    return pt.framed_evaluators(a2, *s.duel(player), s.prospect[player])[0](a1)
 
 
 def _price_row(rho_c: float, reference: float):
@@ -509,11 +536,11 @@ def test_slope_is_quasi_convex_on_every_piece():
     # The pt docstring's argument, sampled: between two breakpoints the
     # slope falls, rises, or falls and then rises.
     for s, opp in _best_response_cases():
-        args = (opp, *s.duel(0), s.prospect[0])
-        cuts = [0.0, *utility_breakpoints(*args), 1.0]
+        _, slope, _, inner = pt.framed_evaluators(opp, *s.duel(0), s.prospect[0])
+        cuts = [0.0, *inner, 1.0]
         for lo, hi in zip(cuts, cuts[1:]):
             xs = np.linspace(lo, hi, 203)[1:-1]
-            slopes = np.array([expected_pt_utility_slope(float(x), *args) for x in xs])
+            slopes = np.array([slope(float(x)) for x in xs])
             steps = np.diff(slopes)
             tol = 1e-9 * float(np.max(np.abs(slopes)))
             turn = int(np.argmin(slopes))
