@@ -114,7 +114,9 @@ def best_response_cgt(
     if opponent_alpha <= t:
         return 1.0, BestResponseCase("BelowLoadStoreAll", t, slack)
     if slack > 0.0:
-        interior = (lc * k + (k - 2.0 * rho) * opponent_alpha * q2max) / (q1 * k)
+        # The line exists here: a player without one has t > 1 and returned above.
+        intercept, slope = _interior_coefficients(player, s)
+        interior = intercept + slope * opponent_alpha
         return _snap_unit(interior), BestResponseCase("InteriorOptimum", t, slack)
     return 1.0, BestResponseCase("PriceDominatedStoreAll", t, slack)
 

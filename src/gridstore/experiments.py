@@ -10,9 +10,11 @@ Four experiment families:
   equilibrium covers the critical load, as loss aversion grows.
 * ``asymmetric_equilibrium``: one framed and one rational player.
 
-Every family solves its grid points one after another, in grid order,
-and turns each solved point into a ``SweepRow`` (or a subclass carrying
-the family's extra fields) through one row builder.  The solver is
+Every family builds each grid point's scenario from its validated base
+through one variant step, which changes only the swept fields.  It
+solves the points one after another, in grid order, and turns each
+solved point into a ``SweepRow`` (or a subclass carrying the family's
+extra fields) through one row builder.  The solver is
 deterministic, so repeated runs produce byte-identical CSV files.
 """
 
@@ -21,7 +23,8 @@ from __future__ import annotations
 import csv
 import functools
 import math
-from dataclasses import dataclass, replace
+import sys
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -57,19 +60,6 @@ __all__ = [
     "write_sweep_csv",
     "write_required_price_csv",
 ]
-
-CSV_COLUMNS = (
-    "sweep_param",
-    "value",
-    "alpha_1",
-    "alpha_2",
-    "total_stored_kwh",
-    "expected_utility_1",
-    "expected_utility_2",
-    "classification",
-    "converged",
-    "iterations",
-)
 
 SWEPT_PARAMETERS = (
     "reference_point",
@@ -139,22 +129,23 @@ class SweepSpec:
                 f"swept_parameter must be one of {SWEPT_PARAMETERS}, "
                 f"got {self.swept_parameter!r}"
             )
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        _require_increasing("values", self.values)
+        object.__setattr__(self, "values", _grid("values", self.values))
         if self.reference_values is not None:
             object.__setattr__(
-                self, "reference_values", tuple(float(v) for v in self.reference_values)
+                self, "reference_values", _grid("reference_values", self.reference_values)
             )
-            _require_increasing("reference_values", self.reference_values)
 
 
-def _require_increasing(name: str, values: tuple[float, ...]) -> None:
+def _grid(name: str, values: Iterable[float]) -> tuple[float, ...]:
+    """``values`` as floats; they must be nonempty, finite and strictly increasing."""
+    values = tuple(float(v) for v in values)
     if not values:
         raise ValueError(f"{name} must be nonempty")
     if not all(map(math.isfinite, values)):
         raise ValueError(f"{name} must be finite")
     if any(b <= a for a, b in zip(values, values[1:])):
         raise ValueError(f"{name} must be strictly increasing")
+    return values
 
 
 @dataclass(frozen=True, slots=True)
@@ -171,6 +162,9 @@ class SweepRow:
     classification: str
     converged: bool
     iterations: int
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(SweepRow))
 
 
 @dataclass(frozen=True, kw_only=True, slots=True)
@@ -216,11 +210,16 @@ def _row(
     sweep_param: str,
     value: float | None,
     scenario: Scenario,
-    res: EquilibriumResult,
+    res: EquilibriumResult | None = None,
     row_type: type[SweepRow] = SweepRow,
     **extra,
 ) -> SweepRow:
-    """Flatten one solved point into the canonical columns plus ``extra``."""
+    """Flatten one solved point into the canonical columns plus ``extra``.
+
+    Without ``res`` the row solves ``scenario`` itself.
+    """
+    if res is None:
+        res = iterate_best_response(scenario)
     return row_type(
         sweep_param=sweep_param,
         value=value,
@@ -236,13 +235,20 @@ def _row(
     )
 
 
-def _with_reference(base: Scenario, r: float) -> Scenario:
-    """Every framed player gets reference r; all players must be framed."""
-    for p, params in enumerate(base.prospect):
-        if params is None:
-            raise MissingProspectParams(p)
-    prospect = tuple(replace(p, r=float(r)) for p in base.prospect)
-    return replace(base, prospect=prospect)
+def _variant(base: Scenario, rho_c: float | None = None, **framing: float) -> Scenario:
+    """``base`` with emergency price ``rho_c`` (when given) and ``framing``
+    (``r``, ``lam``) applied to every framed player; nothing else changes."""
+    grid = base.grid if rho_c is None else replace(base.grid, rho_c=rho_c)
+    prospect = base.prospect
+    if framing:
+        prospect = tuple(p if p is None else replace(p, **framing) for p in prospect)
+    return Scenario(grid, base.microgrids, prospect)
+
+
+def _require_framed(base: Scenario) -> None:
+    """The reference and price sweeps frame both players."""
+    if None in base.prospect:
+        raise MissingProspectParams(base.prospect.index(None))
 
 
 def _expect_kind(spec: SweepSpec, kind: str) -> None:
@@ -263,15 +269,13 @@ def sweep_reference_point(spec: SweepSpec) -> list[SweepRow]:
     """
     _expect_kind(spec, "reference_point")
     base = validate_scenario(spec.base)
+    _require_framed(base)
 
     closed = enumerate_bne(base)
     if not closed:
         raise GridStoreError("base scenario has no closed-form equilibrium")
-    rows = [_row("cgt_baseline", None, base, closed[0])]
-    for r in spec.values:
-        scenario = _with_reference(base, r)
-        rows.append(_row("reference_point", r, scenario, iterate_best_response(scenario)))
-    return rows
+    baseline = _row("cgt_baseline", None, base, closed[0])
+    return [baseline] + [_row("reference_point", r, _variant(base, r=r)) for r in spec.values]
 
 
 def sweep_emergency_price(spec: SweepSpec) -> list[EmergencyPriceRow]:
@@ -283,39 +287,27 @@ def sweep_emergency_price(spec: SweepSpec) -> list[EmergencyPriceRow]:
     _expect_kind(spec, "emergency_price")
     if spec.reference_values is None:
         raise ValueError("emergency_price sweep needs reference_values")
-    references = spec.reference_values
 
     # Every swept price must leave a valid scenario (incentive
     # condition included) before any solve starts.
-    scenarios = {}
-    for rho_c in spec.values:
-        with_price = replace(spec.base, grid=replace(spec.base.grid, rho_c=rho_c))
-        scenarios[rho_c] = validate_scenario(with_price)
+    priced = [validate_scenario(_variant(spec.base, rho_c)) for rho_c in spec.values]
+    _require_framed(spec.base)
 
     rows = []
-    for rho_c in spec.values:
+    for rho_c, base in zip(spec.values, priced):
         label = f"emergency_price:rho_c={rho_c:g}"
         # Deviation is measured against this price's total at the first
         # (smallest) reference point.
         anchor = None
-        for r in references:
-            scenario = _with_reference(scenarios[rho_c], r)
+        for r in spec.reference_values:
+            scenario = _variant(base, r=r)
             res = iterate_best_response(scenario)
             total = _total_stored(res.profile, scenario)
             if anchor is None:
                 anchor = total
             pct = 100.0 * (total - anchor) / anchor if anchor else math.nan
-            rows.append(
-                _row(
-                    label,
-                    r,
-                    scenario,
-                    res,
-                    EmergencyPriceRow,
-                    rho_c=rho_c,
-                    pct_deviation_from_r_min=pct,
-                )
-            )
+            extra = {"rho_c": rho_c, "pct_deviation_from_r_min": pct}
+            rows.append(_row(label, r, scenario, res, EmergencyPriceRow, **extra))
     return rows
 
 
@@ -369,18 +361,12 @@ def required_emergency_price(
     if not framed:
         raise MissingProspectParams(0)
     reference = float(framed[0].r if reference is None else reference)
-    lams = tuple(float(v) for v in lambda_values)
-    _require_increasing("lambda_values", lams)
+    lams = _grid("lambda_values", lambda_values)
 
     # Each loss-aversion level's scenario is built once and validated
     # with the reference applied before any solve, so a non-finite
     # reference or a lambda below 1 is refused.
-    scenarios = []
-    for lam in lams:
-        prospect = tuple(
-            replace(p, r=reference, lam=lam) if p is not None else None for p in base.prospect
-        )
-        scenarios.append(validate_scenario(replace(base, prospect=prospect)))
+    scenarios = [validate_scenario(_variant(base, r=reference, lam=lam)) for lam in lams]
     target = base.grid.l_c
     lo_floor = base.grid.rho / base.grid.theta * (1.0 + 1e-6)
     if not (math.isfinite(price_hi) and price_hi > lo_floor):
@@ -389,17 +375,16 @@ def required_emergency_price(
         )
 
     # The search walks integer cent indices, so every price it solves
-    # is a whole cent; the top one stands in for price_hi.
-    first, last = (math.ceil(p / PRICE_STEP - 1e-9) for p in (lo_floor, price_hi))
+    # is a whole cent; the top one stands in for price_hi.  Past the
+    # largest float's hundredth a price has no index, so they stop there.
+    top = sys.float_info.max
+    first, last = (math.ceil(min(p / PRICE_STEP, top) - 1e-9) for p in (lo_floor, price_hi))
     label = f"required_emergency_price:R={reference:g}"  # one string shared by the rows
 
     def search(lam: float, framed_base: Scenario) -> RequiredPriceRow:
-        def with_price(rho_c: float) -> Scenario:
-            return replace(framed_base, grid=replace(base.grid, rho_c=rho_c))
-
         @functools.cache  # the row reuses the solve at the covering price
         def solve(rho_c: float) -> EquilibriumResult:
-            return iterate_best_response(with_price(rho_c))
+            return iterate_best_response(_variant(framed_base, rho_c))
 
         def price(i: int) -> float:
             return round(i * PRICE_STEP, 2)
@@ -437,7 +422,7 @@ def required_emergency_price(
         return _row(
             label,
             lam,
-            with_price(star),
+            framed_base,
             solve(star),
             RequiredPriceRow,
             reference=reference,
@@ -455,16 +440,10 @@ def asymmetric_equilibrium(
     base = validate_scenario(base)
     if base.prospect[0] is None:
         raise MissingProspectParams(0)
-    values = tuple(float(v) for v in r_values)
-    _require_increasing("r_values", values)
+    values = _grid("r_values", r_values)
 
-    rows = []
-    for r in values:
-        scenario = replace(base, prospect=(replace(base.prospect[0], r=r), None))
-        rows.append(
-            _row("reference_point_asymmetric", r, scenario, iterate_best_response(scenario))
-        )
-    return rows
+    one_framed = Scenario(base.grid, base.microgrids, (base.prospect[0], None))
+    return [_row("reference_point_asymmetric", r, _variant(one_framed, r=r)) for r in values]
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:

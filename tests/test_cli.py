@@ -325,6 +325,15 @@ def test_find_price_window_under_a_ceiling_that_does_not_cover(price_max, tmp_pa
     assert lines[1].startswith("required_emergency_price:R=13.2515,2.43409823,11.01,")
 
 
+def test_find_price_under_a_ceiling_past_the_cent_index_range(tmp_path, capsys):
+    # 1e307 / PRICE_STEP overflows a float; the search still lands on 11.28.
+    out = tmp_path / "stars.csv"
+    argv = ["find-price", "--config", CONFIG, "--from", "1", "--to", "1"]
+    assert run(argv + ["--price-max", "1e307", "--out", str(out)]) == 0
+    assert capsys.readouterr().out.strip() == str(out)
+    assert out.read_text().splitlines()[1].startswith("required_emergency_price:R=11.5,1,11.28,")
+
+
 def test_find_price_output_is_the_published_coverage_csv(tmp_path):
     # The default scenario over the battery's loss-aversion grid writes
     # the battery's coverage_price_R11.5.csv byte for byte.

@@ -155,16 +155,38 @@ def test_reference_sweep_rows_follow_grid_order():
     assert rows[1].alpha_2 == 1.0
 
 
-def test_reference_sweep_matches_direct_solve():
-    spec = SweepSpec(
-        base=default_scenario(),
-        swept_parameter="reference_point",
-        values=(12.0,),
-    )
-    row = sweep_reference_point(spec)[1]
-    direct = iterate_best_response(default_scenario(reference=12.0))
-    assert (row.alpha_1, row.alpha_2) == tuple(direct.profile)
-    assert row.iterations == direct.iterations
+def _framed_by_hand(s, **changes):
+    """``s`` with ``changes`` applied to each framed player, built by ``replace``."""
+    prospect = tuple(None if p is None else replace(p, **changes) for p in s.prospect)
+    return replace(s, prospect=prospect)
+
+
+@pytest.mark.parametrize("family", ["reference", "price", "asymmetric", "covering"])
+def test_family_row_matches_direct_solve(family):
+    # One point of each family against a solve of a scenario built here,
+    # through no code the families share.
+    base = default_scenario()
+    if family == "reference":
+        row = sweep_reference_point(SweepSpec(base, "reference_point", values=(12.0,)))[1]
+        direct = _framed_by_hand(base, r=12.0)
+    elif family == "price":
+        spec = SweepSpec(
+            default_scenario(lam=4.0), "emergency_price", values=(12.0,), reference_values=(12.0,)
+        )
+        row = sweep_emergency_price(spec)[0]
+        priced = replace(base, grid=replace(base.grid, rho_c=12.0))
+        direct = _framed_by_hand(priced, r=12.0, lam=4.0)
+    elif family == "asymmetric":
+        row = asymmetric_equilibrium(base, (13.0,))[0]
+        direct = _framed_by_hand(replace(base, prospect=(base.prospect[0], None)), r=13.0)
+    else:
+        row = required_emergency_price(base, (2.0,), reference=11.5)[0]
+        priced = replace(base, grid=replace(base.grid, rho_c=row.rho_c_star))
+        direct = _framed_by_hand(priced, r=11.5, lam=2.0)
+    res = iterate_best_response(direct)
+    assert (row.alpha_1, row.alpha_2) == tuple(res.profile)
+    assert row.iterations == res.iterations
+    assert (row.expected_utility_1, row.expected_utility_2) == tuple(res.expected_utilities)
 
 
 def test_emergency_price_sweep_rows_and_deviation():
@@ -406,9 +428,12 @@ def test_battery_framed_best_response_budget(monkeypatch):
     assert len(calls) <= 244
 
 
-def test_covering_price_search_ignores_a_far_price_ceiling(monkeypatch):
+@pytest.mark.parametrize("price_hi", [1e15, 1e307, sys.float_info.max])
+def test_covering_price_search_ignores_a_far_price_ceiling(price_hi, monkeypatch):
+    # Past about 1.8e306 the ceiling over PRICE_STEP overflows a float;
+    # the search still stops at the first covering cent.
     _count_solves(monkeypatch, limit=20)
-    row = required_emergency_price(default_scenario(), (1.0,), price_hi=1e15)[0]
+    row = required_emergency_price(default_scenario(), (1.0,), price_hi=price_hi)[0]
     assert row.rho_c_star == 11.28
 
 

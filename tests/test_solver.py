@@ -148,14 +148,15 @@ def test_package_and_cli_load_no_scipy_until_the_oracle_runs(tmp_path):
     assert report["u"] == pytest.approx(13.13103448275844, rel=1e-9)
 
 
-def _unused_public_functions(src: Path) -> list[str]:
-    """``module.function`` for each public module-level function in ``src`` that
-    ``gridstore`` does not export and no package code names outside its own body."""
+def _unused_functions(src: Path, private: bool = False) -> list[str]:
+    """``module.function`` for each public module-level function in ``src`` (with
+    ``private``, each ``_``-prefixed one but the dunders) that ``gridstore`` does
+    not export and no package code names outside its own body."""
     defined, named = [], []  # (module, function); (name, module, enclosing top-level def)
     for path in sorted(src.glob("*.py")):
         for stmt in ast.parse(path.read_text()).body:
             owner = stmt.name if isinstance(stmt, ast.FunctionDef) else None
-            if owner is not None and not owner.startswith("_"):
+            if owner is not None and owner.startswith("_") == private and owner[:2] != "__":
                 defined.append((path.stem, owner))
             for node in ast.walk(stmt):
                 if isinstance(node, (ast.Name, ast.Attribute)):
@@ -172,7 +173,12 @@ def _unused_public_functions(src: Path) -> list[str]:
 def test_every_public_function_is_exported_or_used_by_the_package():
     # A public function that only tests or the benchmark call is a wrapper
     # to fold into its callers.
-    assert _unused_public_functions(Path(gridstore.__file__).resolve().parent) == []
+    assert _unused_functions(Path(gridstore.__file__).resolve().parent) == []
+
+
+def test_every_private_function_is_used_by_the_package():
+    # A private helper that nothing calls is left over from a refactor.
+    assert _unused_functions(Path(gridstore.__file__).resolve().parent, private=True) == []
 
 
 def test_quadrature_neutral_framing_is_a_shift():
