@@ -58,7 +58,6 @@ _EXPORTS = {
     ),
     **dict.fromkeys(
         (
-            "Belief",
             "GridParams",
             "MicrogridConfig",
             "ProspectParams",

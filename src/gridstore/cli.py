@@ -9,10 +9,10 @@ files.
 
 Exit codes: 0 success, 2 unreadable config or bad flag values, 3
 scenario validation failure (including a config without exactly two
-microgrids), 4 solver non-convergence (including an unreachable coverage
-price) or a result that overflows floating point: every number a
-command prints or writes is checked to be finite first (``enumerate``'s
-candidates are finite by construction).
+microgrids or two prospect entries), 4 solver non-convergence
+(including an unreachable coverage price) or a result that overflows
+floating point: every number a command prints or writes is checked to
+be finite first (``enumerate``'s candidates are finite by construction).
 
 Only ``solve-pt``, ``sweep`` and ``find-price`` import the framed solver.
 Every command runs on plain Python floats.
@@ -305,7 +305,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--reference",
         type=float,
         default=None,
-        help="reference point applied to framed players (default: from config)",
+        help="reference point for framed players (default: theirs, which must be equal)",
     )
     p.add_argument("--price-max", type=float, default=30.0)
     p.add_argument("--out", required=True, help="output CSV path")

@@ -245,12 +245,6 @@ def _variant(base: Scenario, rho_c: float | None = None, **framing: float) -> Sc
     return Scenario(grid, base.microgrids, prospect)
 
 
-def _require_framed(base: Scenario) -> None:
-    """The reference and price sweeps frame both players."""
-    if None in base.prospect:
-        raise MissingProspectParams(base.prospect.index(None))
-
-
 def _expect_kind(spec: SweepSpec, kind: str) -> None:
     if spec.swept_parameter != kind:
         raise ValueError(
@@ -269,7 +263,8 @@ def sweep_reference_point(spec: SweepSpec) -> list[SweepRow]:
     """
     _expect_kind(spec, "reference_point")
     base = validate_scenario(spec.base)
-    _require_framed(base)
+    for p in (0, 1):  # the reference sweep frames both players
+        base.prospect_of(p)
 
     closed = enumerate_bne(base)
     if not closed:
@@ -291,7 +286,8 @@ def sweep_emergency_price(spec: SweepSpec) -> list[EmergencyPriceRow]:
     # Every swept price must leave a valid scenario (incentive
     # condition included) before any solve starts.
     priced = [validate_scenario(_variant(spec.base, rho_c)) for rho_c in spec.values]
-    _require_framed(spec.base)
+    for p in (0, 1):  # the price sweep frames both players
+        spec.base.prospect_of(p)
 
     rows = []
     for rho_c, base in zip(spec.values, priced):
@@ -329,6 +325,9 @@ def required_emergency_price(
 ) -> list[RequiredPriceRow]:
     """Minimal emergency price whose equilibrium covers the critical load.
 
+    ``reference`` is applied to every framed player; without it they keep
+    the one they share in ``base`` (``ValueError`` if theirs differ).
+
     Candidate prices are whole cents (``PRICE_STEP``) from the first one
     above rho/theta (the smallest price respecting the incentive
     condition) to ``price_hi`` rounded up to a cent.  For each
@@ -360,13 +359,17 @@ def required_emergency_price(
     framed = [p for p in base.prospect if p is not None]
     if not framed:
         raise MissingProspectParams(0)
-    reference = float(framed[0].r if reference is None else reference)
     lams = _grid("lambda_values", lambda_values)
 
     # Each loss-aversion level's scenario is built once and validated
-    # with the reference applied before any solve, so a non-finite
-    # reference or a lambda below 1 is refused.
-    scenarios = [validate_scenario(_variant(base, r=reference, lam=lam)) for lam in lams]
+    # with the reference (when given) applied before any solve, so a
+    # non-finite reference or a lambda below 1 is refused.
+    framing = {} if reference is None else {"r": float(reference)}
+    scenarios = [validate_scenario(_variant(base, lam=lam, **framing)) for lam in lams]
+    if reference is None and len({p.r for p in framed}) > 1:
+        shown = ", ".join(f"{p.r:g}" for p in framed)
+        raise ValueError(f"framed players' reference points differ ({shown}); pass one reference")
+    reference = float(framed[0].r if reference is None else reference)
     target = base.grid.l_c
     lo_floor = base.grid.rho / base.grid.theta * (1.0 + 1e-6)
     if not (math.isfinite(price_hi) and price_hi > lo_floor):
@@ -438,11 +441,8 @@ def asymmetric_equilibrium(
 ) -> list[SweepRow]:
     """Mixed game: player 1 frames outcomes at each reference, player 2 stays rational."""
     base = validate_scenario(base)
-    if base.prospect[0] is None:
-        raise MissingProspectParams(0)
+    one_framed = Scenario(base.grid, base.microgrids, (base.prospect_of(0), None))
     values = _grid("r_values", r_values)
-
-    one_framed = Scenario(base.grid, base.microgrids, (base.prospect[0], None))
     return [_row("reference_point_asymmetric", r, _variant(one_framed, r=r)) for r in values]
 
 

@@ -16,12 +16,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .errors import InvalidScenario, NotTwoPlayer
+from .errors import InvalidScenario, MissingProspectParams, NotTwoPlayer
 
 __all__ = [
     "GridParams",
     "MicrogridConfig",
-    "Belief",
     "ProspectParams",
     "StrategyProfile",
     "Scenario",
@@ -72,16 +71,6 @@ class MicrogridConfig:
 
 
 @dataclass(frozen=True)
-class Belief:
-    """Uniform belief over an opponent's surplus on ``[0, upper]``."""
-
-    upper: float
-
-    def density(self, x: float) -> float:
-        return 1.0 / self.upper if 0.0 <= x <= self.upper else 0.0
-
-
-@dataclass(frozen=True)
 class ProspectParams:
     """Framing parameters of one player.
 
@@ -120,8 +109,9 @@ class StrategyProfile:
 class Scenario:
     """Full game description: environment, the two players, optional framing.
 
-    The game has exactly two microgrids; any other count raises
-    ``NotTwoPlayer`` here, so no solver checks it again.
+    The game has exactly two microgrids and two prospect entries (``None``
+    for a rational player); any other count raises ``NotTwoPlayer`` here,
+    so no solver checks it again.
     """
 
     grid: GridParams
@@ -134,10 +124,17 @@ class Scenario:
             raise NotTwoPlayer(
                 f"need exactly 2 players, scenario has {len(self.microgrids)}"
             )
-        prospect = tuple(self.prospect) if self.prospect is not None else ()
-        if not prospect:
-            prospect = (None, None)
+        prospect = tuple(self.prospect or ()) or (None, None)
+        if len(prospect) != 2:
+            raise NotTwoPlayer(f"need 2 prospect entries, scenario has {len(prospect)}")
         object.__setattr__(self, "prospect", prospect)
+
+    def prospect_of(self, player: int) -> ProspectParams:
+        """``player``'s framing, or ``MissingProspectParams`` if it is rational."""
+        p = self.prospect[player]
+        if p is None:
+            raise MissingProspectParams(player)
+        return p
 
     def duel(self, player: int) -> tuple[float, float, float, float, float]:
         """Constants of the game seen from ``player``'s side.
@@ -152,10 +149,6 @@ class Scenario:
     @property
     def surpluses(self) -> tuple[float, ...]:
         return tuple(m.q for m in self.microgrids)
-
-    def belief_about(self, m: int) -> Belief:
-        """Common-knowledge belief over player ``m``'s surplus."""
-        return Belief(upper=self.microgrids[m].q_max)
 
 
 # ---------------------------------------------------------------------------
@@ -192,17 +185,6 @@ def scenario_checks(s: Scenario) -> list[Check]:
             "IncentiveViolation",
             g.emergency_value > g.rho,
             f"theta*rho_c = {g.emergency_value:g} must exceed rho = {g.rho:g}",
-        ),
-        Check(
-            "BadPlayerCount",
-            len(s.microgrids) >= 2,
-            f"{len(s.microgrids)} microgrids configured, need >= 2",
-        ),
-        Check(
-            "BadPlayerCount",
-            len(s.prospect) == len(s.microgrids),
-            f"{len(s.prospect)} prospect entries for "
-            f"{len(s.microgrids)} microgrids",
         ),
     ]
     for i, m in enumerate(s.microgrids):

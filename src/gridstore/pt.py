@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import math
 
-from .errors import MissingProspectParams
 from .model import ProspectParams, Scenario, StrategyProfile
 
 __all__ = [
@@ -54,13 +53,6 @@ def pt_value(u: float, p: ProspectParams) -> float:
     if d < 0.0:
         return -p.lam * (-d) ** p.beta_minus
     return 0.0
-
-
-def _require_framed(player: int, s: Scenario) -> ProspectParams:
-    p = s.prospect[player]
-    if p is None:
-        raise MissingProspectParams(player)
-    return p
 
 
 def framed_evaluators(a2, q1, q2max, rho, k, lc, pp: ProspectParams):
@@ -137,5 +129,5 @@ def framed_evaluators(a2, q1, q2max, rho, k, lc, pp: ProspectParams):
 
 def expected_pt_utility(player: int, profile: StrategyProfile, s: Scenario) -> float:
     """Closed-form expected framed utility of ``player`` at ``profile``."""
-    pp = _require_framed(player, s)
+    pp = s.prospect_of(player)
     return framed_evaluators(profile[1 - player], *s.duel(player), pp)[0](profile[player])

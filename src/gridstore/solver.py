@@ -63,12 +63,12 @@ def quadrature_expected_utility(
     from scipy.integrate import quad
 
     opp = 1 - player
-    belief = s.belief_about(opp)
-    q2max = belief.upper
+    q2max = s.microgrids[opp].q_max
+    density = 1.0 / q2max  # uniform on [0, q2max], the whole domain integrated
     a_own, a_opp = profile[player], profile[opp]
     q_own = s.microgrids[player].q
     grid = s.grid
-    pp = pt._require_framed(player, s) if framed else None
+    pp = s.prospect_of(player) if framed else None
 
     surpluses = [0.0, 0.0]
     surpluses[player] = q_own
@@ -80,7 +80,7 @@ def quadrature_expected_utility(
     def integrand(q2: float) -> float:
         u = utility(q2)
         v = pt.pt_value(u, pp) if pp is not None else u
-        return v * belief.density(q2)
+        return v * density
 
     cuts = {0.0, q2max}
     split = (grid.l_c - a_own * q_own) / a_opp if a_opp > 0.0 else q2max
@@ -112,12 +112,13 @@ def quadrature_expected_utility(
 # ---------------------------------------------------------------------------
 
 
-def _falling_root(f: Callable[[float], float], lo, hi, f_lo, f_hi) -> float:
-    """Root of ``f`` falling from ``f_lo > 0`` at ``lo`` to ``f_hi < 0`` at ``hi``.
+def _bracketed_root(f: Callable[[float], float], lo, hi, f_lo, f_hi) -> float:
+    """Root of ``f`` between ``lo`` and ``hi``, whose reads ``f_lo``, ``f_hi`` differ in sign.
 
-    Illinois false position; a step outside the bracket bisects instead.
+    Illinois false position; a step outside the bracket bisects instead.  A
+    read with ``f_lo``'s sign replaces ``lo``; any other, 0 or NaN, ``hi``.
     """
-    side = 0
+    sign, side = (1.0 if f_lo > 0.0 else -1.0), 0
     for _ in range(_ROOT_STEPS):
         if hi - lo <= _ROOT_XTOL:
             break
@@ -125,7 +126,7 @@ def _falling_root(f: Callable[[float], float], lo, hi, f_lo, f_hi) -> float:
         if not lo < x < hi:
             x = 0.5 * (lo + hi)
         fx = f(x)
-        if fx > 0.0:
+        if sign * fx > 0.0:
             lo, f_lo, f_hi = x, fx, f_hi * (0.5 if side > 0 else 1.0)
             side = 1
         else:
@@ -147,13 +148,8 @@ def grid_best_response(player: int, opponent_alpha: float, s: Scenario) -> float
     0, 1 and those roots wins, the smaller on a tie; a score that is not
     finite raises ``FloatingPointError``.
     """
-    pp = pt._require_framed(player, s)
-    a_opp = float(opponent_alpha)
+    pp, a_opp = s.prospect_of(player), float(opponent_alpha)
     utility, slope, curvature, inner = pt.framed_evaluators(a_opp, *s.duel(player), pp)
-
-    def fall(a1: float) -> float:
-        return -curvature(a1)
-
     cuts = [0.0, *inner, 1.0]
     probes = []
     for lo, hi in zip(cuts, cuts[1:]):
@@ -164,13 +160,13 @@ def grid_best_response(player: int, opponent_alpha: float, s: Scenario) -> float
     # Even steps span a piece, odd ones a cut.
     for i, (lo, hi, f_lo, f_hi) in enumerate(zip(probes, probes[1:], slopes, slopes[1:])):
         if i % 2 == 0 and f_lo > 0.0 and f_hi > 0.0:
-            c_lo, c_hi = fall(lo), fall(hi)
-            if not c_lo > 0.0 > c_hi:
+            c_lo, c_hi = curvature(lo), curvature(hi)
+            if not c_lo < 0.0 < c_hi:
                 continue
-            hi = _falling_root(fall, lo, hi, c_lo, c_hi)
+            hi = _bracketed_root(curvature, lo, hi, c_lo, c_hi)
             f_hi = slope(hi)
         if f_lo > 0.0 > f_hi:
-            candidates.append(_falling_root(slope, lo, hi, f_lo, f_hi))
+            candidates.append(_bracketed_root(slope, lo, hi, f_lo, f_hi))
     candidates.sort()
     scores = [utility(a) for a in candidates]
     if not all(map(math.isfinite, scores)):

@@ -284,6 +284,35 @@ def test_find_price_writes_star_column(tmp_path, capsys):
     assert lines[2].startswith("required_emergency_price:R=11.5,1.5,11.34,")
 
 
+def test_find_price_refuses_differing_config_references(tmp_path, capsys):
+    # Without --reference no framed player's reference may stand in for
+    # the other's, so references that differ are refused.
+    out = tmp_path / "x.csv"
+    argv = ["find-price", "--config", CONFIG, "--override", "prospect.1.r=14"]
+    argv += ["--from", "1", "--to", "2", "--out", str(out)]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: framed players' reference points differ (11.5, 14); pass one reference\n"
+    )
+    assert not out.exists()
+
+    assert run(argv + ["--reference", "11.5"]) == 0
+    assert capsys.readouterr().out.strip() == str(out)
+    lines = out.read_text().splitlines()
+    assert lines[1].startswith("required_emergency_price:R=11.5,1,11.28,")
+
+    # A non-finite config reference fails validation rather than differing.
+    out.unlink()
+    argv[argv.index("prospect.1.r=14")] = "prospect.1.r=NaN"
+    assert run(argv) == 3
+    assert capsys.readouterr().err == (
+        "error: invalid scenario (BadProspectParams: prospect[1].r = nan must be finite)\n"
+    )
+    assert not out.exists()
+
+
 def test_find_price_unreachable_ceiling_is_exit_four(tmp_path, capsys):
     code = run(
         [
@@ -377,6 +406,26 @@ def test_three_microgrids_are_refused_at_load(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "need exactly 2 players" in captured.err
+
+
+@pytest.mark.parametrize("entries", [1, 3])
+def test_prospect_count_other_than_two_is_refused_at_load(entries, tmp_path, capsys):
+    # A lone entry would reach the solver and fail there with IndexError;
+    # a third would be ignored.
+    data = json.loads(Path(CONFIG).read_text())
+    data["prospect"] = [dict(data["prospect"][0]) for _ in range(entries)]
+    with pytest.raises(NotTwoPlayer, match=f"need 2 prospect entries, scenario has {entries}"):
+        scenario_from_dict(data)
+
+    path = tmp_path / "prospects.json"
+    path.write_text(json.dumps(data))
+    for command in ("validate", "enumerate", "solve-pt"):
+        assert run([command, "--config", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: need 2 prospect entries, scenario has {entries}\n"
+        )
 
 
 @pytest.mark.parametrize("player", [0, 1])

@@ -284,6 +284,20 @@ def test_covering_price_search_solves_each_price_once(monkeypatch):
     assert len(prices) == len(set(prices))
 
 
+def test_covering_price_search_refuses_differing_references(monkeypatch):
+    base = default_scenario()
+    uneven = replace(base, prospect=(base.prospect[0], replace(base.prospect[1], r=14.0)))
+    solves = _count_solves(monkeypatch)
+    with pytest.raises(ValueError, match=r"reference points differ \(11.5, 14\)"):
+        required_emergency_price(uneven, lambda_values=(1.0,))
+    assert solves == []
+    # An explicit reference, or one the framed players share, is applied to both.
+    given = required_emergency_price(uneven, lambda_values=(1.0,), reference=11.5)
+    assert given == required_emergency_price(base, lambda_values=(1.0,))
+    one_framed = replace(base, prospect=(None, replace(base.prospect[1], r=14.0)))
+    assert required_emergency_price(one_framed, (1.0,))[0].reference == 14.0
+
+
 def test_covering_price_search_reports_unreachable_target():
     with pytest.raises(NoCoveragePrice) as exc_info:
         required_emergency_price(

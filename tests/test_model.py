@@ -2,12 +2,13 @@
 
 import json
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridstore.errors import InvalidScenario
+from gridstore.errors import InvalidScenario, MissingProspectParams, NotTwoPlayer
 from gridstore.model import (
     GridParams,
     MicrogridConfig,
@@ -182,6 +183,28 @@ def test_scenario_round_trip_from_json(tmp_path):
     assert loaded == s
 
 
+def test_prospect_count_other_than_two_is_refused():
+    # A lone entry would reach iterate_best_response and fail there with
+    # IndexError; a third would be ignored.
+    s = framed_benchmark()
+    pp = s.prospect[0]
+    with pytest.raises(NotTwoPlayer, match="need 2 prospect entries, scenario has 1"):
+        Scenario(s.grid, s.microgrids, (pp,))
+    with pytest.raises(NotTwoPlayer, match="need 2 prospect entries, scenario has 3"):
+        replace(s, prospect=(pp, pp, None))
+    for empty in (None, (), []):
+        assert Scenario(s.grid, s.microgrids, empty).prospect == (None, None)
+
+
+def test_prospect_of_names_the_unframed_player():
+    s = framed_benchmark()
+    one_framed = replace(s, prospect=(s.prospect[0], None))
+    assert one_framed.prospect_of(0) is s.prospect[0]
+    with pytest.raises(MissingProspectParams) as exc_info:
+        one_framed.prospect_of(1)
+    assert exc_info.value.player == 1
+
+
 def test_missing_prospect_key_defaults_to_unframed():
     data = {
         "grid": {"rho": 0.1, "rho_c": 11.6, "theta": 0.01, "l_c": 200},
@@ -189,15 +212,6 @@ def test_missing_prospect_key_defaults_to_unframed():
     }
     s = scenario_from_dict(data)
     assert s.prospect == (None, None)
-
-
-def test_belief_is_uniform_on_capacity():
-    s = benchmark_scenario()
-    belief = s.belief_about(1)
-    assert belief.density(75.0) == pytest.approx(1.0 / 150.0)
-    assert belief.density(150.0) == pytest.approx(1.0 / 150.0)
-    assert belief.density(150.0 + 1e-9) == 0.0
-    assert belief.density(-1e-9) == 0.0
 
 
 def test_over_allocation_quirk_is_literal():

@@ -65,7 +65,7 @@ def test_quadrature_contested_matches_closed_form_value():
 
 # Every name ``gridstore`` exports; the lazy loader must keep this set.
 EXPORTS = {
-    "Belief", "BestResponseCase", "EmergencyPriceRow",
+    "BestResponseCase", "EmergencyPriceRow",
     "EquilibriumResult", "GridParams", "GridStoreError", "InvalidScenario",
     "MicrogridConfig", "MissingProspectParams", "NoCoveragePrice", "NotConverged",
     "NotTwoPlayer",
@@ -179,6 +179,45 @@ def test_every_public_function_is_exported_or_used_by_the_package():
 def test_every_private_function_is_used_by_the_package():
     # A private helper that nothing calls is left over from a refactor.
     assert _unused_functions(Path(gridstore.__file__).resolve().parent, private=True) == []
+
+
+def _raise_sites(src: Path, errors: set[str]) -> list[tuple[str, str]]:
+    """``(error, "module.Enclosing.def")`` for each ``raise`` of one of ``errors`` in ``src``."""
+    sites = []
+
+    def walk(node: ast.AST, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                walk(child, f"{where}.{child.name}")
+                continue
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                name = getattr(exc, "id", getattr(exc, "attr", None))
+                if name in errors:
+                    sites.append((name, where))
+            walk(child, where)
+
+    for path in sorted(src.glob("*.py")):
+        walk(ast.parse(path.read_text()), path.stem)
+    return sites
+
+
+def test_each_player_rule_is_raised_in_one_place():
+    # ``model.Scenario`` owns the two-player count and the framing guard;
+    # the covering-price search alone adds its "at least one framed player".
+    src = Path(gridstore.__file__).resolve().parent
+    sites = _raise_sites(src, {"NotTwoPlayer", "MissingProspectParams"})
+    allowed = ("model.Scenario.prospect_of", "experiments.required_emergency_price")
+    stray = [
+        (error, where)
+        for error, where in sites
+        if not (
+            where.startswith("model.Scenario.") if error == "NotTwoPlayer" else where in allowed
+        )
+    ]
+    assert stray == []
+    assert ("NotTwoPlayer", "model.Scenario.__post_init__") in sites
+    assert ("MissingProspectParams", "model.Scenario.prospect_of") in sites
 
 
 def test_quadrature_neutral_framing_is_a_shift():
@@ -528,6 +567,26 @@ def test_best_response_scores_no_lower_than_a_dense_argmax():
         dense = dense_framed_argmax(0, opp, s)
         u_br, u_dense = _framed_utility(s, 0, br, opp), _framed_utility(s, 0, dense, opp)
         assert u_br >= u_dense - 1e-12 * max(1.0, abs(u_dense)), (s, opp, br, dense)
+
+
+def test_root_finder_takes_a_bracket_in_either_direction():
+    # Negating every read is exact in the false-position step, so the
+    # curvature's rising root and its negation's falling root are the same bits.
+    rising_roots = 0
+    for s, opp in _best_response_cases():
+        _, _, curvature, inner = pt.framed_evaluators(opp, *s.duel(0), s.prospect[0])
+        cuts = [0.0, *inner, 1.0]
+        for lo, hi in zip(cuts, cuts[1:]):
+            inset = (hi - lo) * 2.0**-30
+            lo, hi = lo + inset, hi - inset
+            c_lo, c_hi = curvature(lo), curvature(hi)
+            if not c_lo < 0.0 < c_hi:
+                continue
+            rising = solver._bracketed_root(curvature, lo, hi, c_lo, c_hi)
+            falling = solver._bracketed_root(lambda a: -curvature(a), lo, hi, -c_lo, -c_hi)
+            assert rising == falling, (s, opp, lo, hi)
+            rising_roots += 1
+    assert rising_roots > 0
 
 
 def test_best_response_refuses_a_utility_that_is_not_finite():
