@@ -6,8 +6,9 @@ the closed forms it is used to check.  Only tests and the benchmark call
 it, so it imports ``scipy.integrate`` (the ``test`` extra) on its first
 call rather than with this module.  The framed best response takes the
 roots of the closed form's analytic slope, with ``pt.framed_evaluators``
-built once per response; the iteration solver alternates best responses,
-with Steffensen's form of Aitken steps, to a fixed point.  All but the
+built once per response.  The iteration solver takes the fixed point of
+best responses by Steffensen's method: a symmetric game iterates its one
+best-response map, any other game alternating rounds.  All but the
 oracle runs on plain floats.
 
 The numerics are fixed: a 1e-12 fixed-point tolerance (``TOL``), a
@@ -19,6 +20,7 @@ The numerics are fixed: a 1e-12 fixed-point tolerance (``TOL``), a
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import Callable
 
 from . import cgt, pt
@@ -39,6 +41,7 @@ MAX_ROUNDS = 200
 QUAD_REL_TOL = 1e-10
 CLASSIFY_TOL = 1e-5
 _ROOT_XTOL, _ROOT_STEPS = 1e-14, 100  # root finder: bracket width, step limit
+_SETTLING = 1e-10  # fixed-point steps this short read _ROOT_XTOL into their ratio
 
 # ---------------------------------------------------------------------------
 # quadrature oracle
@@ -178,19 +181,62 @@ def grid_best_response(player: int, opponent_alpha: float, s: Scenario) -> float
 # best-response iteration
 # ---------------------------------------------------------------------------
 
+Profile = tuple[float, float]
 
-def _aitken(x0: float, x1: float, x2: float) -> float | None:
-    """Aitken's delta-squared limit of three successive iterates, or None unless
-    their steps shrink with one sign (a ratio in (0, 1)) toward a limit in [0, 1].
 
-    A limit outside [0, 1] is discarded, not clipped: a guess clipped to a
-    bound can land on the starting point and repeat the same rounds.
+def _steffensen(
+    step: Callable[[Profile], tuple[Profile, float]],
+    a: Profile,
+    keep: Callable[[Profile, float], bool] | None = None,
+    stop_unless_shrinking: bool = False,
+) -> tuple[Profile, float, int] | None:
+    """Apply ``step`` from ``a`` until it moves the profile by at most ``TOL``.
+
+    ``step`` returns the next profile and its largest update.  Once player
+    2's last three fractions take shrinking steps (any under ``_SETTLING``
+    counts), the next step starts from their Aitken limit, Steffensen's
+    method, if it lies in [0, 1] (clipped, it could restart the run) and
+    ``keep``, when given, allows it.  Steps that do not shrink end the run
+    with None under ``stop_unless_shrinking``.  Returns the last profile,
+    its update and the number of steps, at most ``MAX_ROUNDS``.
     """
-    d1, d2 = x1 - x0, x2 - x1
-    if d1 == 0.0 or not 0.0 < d2 / d1 < 1.0:
-        return None
-    limit = x2 + d2 * d2 / (d1 - d2)
-    return limit if 0.0 <= limit <= 1.0 else None
+    xs, steps, delta = [a[1]], 0, math.inf
+    while delta > TOL and steps < MAX_ROUNDS:
+        (a, delta), steps = step(a), steps + 1
+        xs = [*xs[-2:], a[1]]
+        if len(xs) < 3 or delta <= TOL:
+            continue
+        d1, d2 = xs[1] - xs[0], xs[2] - xs[1]
+        if abs(d2) >= abs(d1) > _SETTLING:
+            if stop_unless_shrinking:
+                return None
+        elif d1 != d2:
+            limit = xs[2] + d2 * d2 / (d1 - d2)
+            if 0.0 <= limit <= 1.0 and (keep is None or keep(a, limit)):
+                a, xs = (a[0], limit), [limit]
+    return a, delta, steps
+
+
+def _rounds_stop_short(br: Callable[[float], float], x0: float, x_sym: float) -> bool:
+    """Whether rounds from player 2's fraction ``x0`` stop short of ``x_sym``.
+
+    ``x_sym`` is the fixed point of ``br``, the one best response of a
+    symmetric game.  A round maps player 2's fraction by BR(BR(x)), which
+    keeps order where BR falls, so rounds move one way and stop at the
+    first fixed point of BR(BR(x)) on their way to ``x_sym``.  They stop
+    short when the Aitken limit of their first three fractions does and
+    BR(BR(x)) - x has turned just past that limit.
+    """
+    x2 = br(br(x0))
+    x4 = br(br(x2))
+    e1, e2 = x2 - x0, x4 - x2
+    if e1 == 0.0 or not 0.0 <= e2 / e1 < 1.0:
+        return False
+    stop = x4 + e2 * e2 / (e1 - e2)
+    past = 2.0 * stop - x4
+    if (past - x_sym) * e1 >= 0.0:
+        past = 0.5 * (stop + x_sym)
+    return (stop - x_sym) * e1 < 0.0 and (br(br(past)) - past) * e1 <= 0.0
 
 
 def iterate_best_response(
@@ -199,20 +245,25 @@ def iterate_best_response(
 ) -> cgt.EquilibriumResult:
     """Fixed point of alternating best responses.
 
-    Each round player 0 responds to player 1's fraction, then player 1
-    to player 0's new one.  Players carrying prospect parameters respond
-    with the framed best response, the others with the closed form.
-    Convergence means a round whose largest strategy update is at most
-    ``TOL``.  Rounds crawl near a best-response slope of -1, so once
-    player 2's trail (from the start or a kept guess) holds three fractions,
-    one round is tried from their Aitken limit, Steffensen's method, and
-    kept only if it moves player 2 less than the last plain round did.
-    ``iterations`` counts every round, tried ones included; a result
-    still moving after the ``MAX_ROUNDS`` guard is not converged.  A framed
-    response to an opponent fraction this solve has already met is reused.
+    It selects the equilibrium that rounds from ``initial`` ((1, 1) by
+    default) reach, player 0 responding first in each; framed players use
+    the framed best response, the others the closed form, and a solve
+    reuses its framed responses.  Players framed alike (equal parameters
+    and sides) respond by one map BR, so rounds follow the orbit x, BR(x),
+    BR(BR(x)), ... of player 2's start: the solve iterates BR itself to
+    x* = BR(x*) and reports (x, BR(x)).  It restarts on rounds when BR's
+    steps stop shrinking (a 2-cycle lies ahead) or when rounds stop short
+    of x* (``_rounds_stop_short``); any other game iterates rounds.  Both
+    take ``_steffensen`` steps; symmetric rounds skip any that would carry
+    player 2's fraction across x*, which rounds never cross.  One map
+    application moving no fraction by more than ``TOL`` converges;
+    ``iterations`` counts the applications of the map that ends the solve,
+    at most ``MAX_ROUNDS``, after which a moving result is not converged.
     """
     framed = tuple(p is not None for p in s.prospect)
-    responses: tuple[dict[float, float], ...] = ({}, {})  # per player, by opponent fraction
+    symmetric = all(framed) and s.prospect[0] == s.prospect[1] and s.duel(0) == s.duel(1)
+    # By opponent fraction: one record per player, or one for both.
+    responses: tuple[dict[float, float], ...] = ({},) * 2 if symmetric else ({}, {})
 
     def respond(p: int, a_opp: float) -> float:
         if not framed[p]:
@@ -221,27 +272,23 @@ def iterate_best_response(
             responses[p][a_opp] = grid_best_response(p, a_opp, s)
         return responses[p][a_opp]
 
-    def play(a: tuple[float, float]) -> tuple[tuple[float, float], float]:
+    def reflect(a: Profile) -> tuple[Profile, float]:
+        b = respond(1, a[1])
+        return (a[1], b), abs(b - a[1])
+
+    def play(a: Profile) -> tuple[Profile, float]:
         a1 = respond(0, a[1])
         nxt = (a1, respond(1, a1))
         return nxt, max(abs(nxt[0] - a[0]), abs(nxt[1] - a[1]))
 
-    a = (1.0, 1.0) if initial is None else (float(initial[0]), float(initial[1]))
-    trail = [a[1]]  # player 2's fraction along the current run of rounds
-    rounds, delta = 0, math.inf
-    while delta > TOL and rounds < MAX_ROUNDS:
-        a, delta = play(a)
-        rounds += 1
-        trail.append(a[1])
-        guess = _aitken(*trail[-3:]) if len(trail) >= 3 else None
-        if guess is not None and delta > TOL and rounds < MAX_ROUNDS:
-            trial, moved = play((a[0], guess))
-            rounds += 1
-            if abs(trial[1] - guess) < abs(trail[-1] - trail[-2]):
-                a, delta = trial, moved
-                trail = [guess, a[1]]
-            else:
-                trail = [a[1]]
+    def same_side(a: Profile, limit: float) -> bool:
+        return (limit - respond(0, limit)) * (a[1] - a[0]) > 0.0
+
+    start = (1.0, 1.0) if initial is None else (float(initial[0]), float(initial[1]))
+    run = _steffensen(reflect, start, stop_unless_shrinking=True) if symmetric else None
+    if run and (run[1] > TOL or _rounds_stop_short(partial(respond, 1), start[1], run[0][1])):
+        run = None
+    a, delta, rounds = run or _steffensen(play, start, same_side if symmetric else None)
     profile = StrategyProfile.of(*a)
     utilities = tuple(
         pt.expected_pt_utility(p, profile, s)

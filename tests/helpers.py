@@ -9,6 +9,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from gridstore.cgt import best_response_cgt
 from gridstore.errors import NoCoveragePrice, NotConverged
 from gridstore.experiments import PRICE_STEP
 from gridstore.model import (
@@ -18,7 +19,7 @@ from gridstore.model import (
     Scenario,
     StrategyProfile,
 )
-from gridstore.solver import grid_best_response, iterate_best_response
+from gridstore.solver import TOL, grid_best_response, iterate_best_response
 
 BENCH_PROSPECT = ProspectParams(r=11.5, lam=2.25, beta_plus=0.88, beta_minus=0.88)
 # The only (uncontested sign, contested branch) cells a valid contested
@@ -349,6 +350,31 @@ def symmetric_framed_equilibrium(s: Scenario) -> SymmetricEquilibrium:
         - grid_best_response(0, alpha - h, s)
     ) / (2.0 * h)
     return SymmetricEquilibrium(alpha, gap(alpha), slope)
+
+
+def plain_rounds(s: Scenario, rounds: int = 20_000) -> tuple[tuple[float, float], bool]:
+    """The selection rule itself: alternating best responses from (1, 1).
+
+    Each round player 0 responds to player 1's fraction, then player 1 to
+    player 0's new one (framed players by ``grid_best_response``, the
+    others by the closed form), with no extrapolation and no record of
+    responses.  Returns the last profile and whether a round moved no
+    fraction by more than ``TOL`` within ``rounds``.
+    """
+
+    def respond(p: int, a_opp: float) -> float:
+        if s.prospect[p] is None:
+            return best_response_cgt(p, a_opp, s)[0]
+        return grid_best_response(p, a_opp, s)
+
+    a = (1.0, 1.0)
+    for _ in range(rounds):
+        a1 = respond(0, a[1])
+        nxt = (a1, respond(1, a1))
+        if max(abs(nxt[0] - a[0]), abs(nxt[1] - a[1])) <= TOL:
+            return nxt, True
+        a = nxt
+    return a, False
 
 
 def covering_kind(row) -> str:

@@ -374,10 +374,11 @@ def test_find_price_output_is_the_published_coverage_csv(tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == pinned["coverage_price_R11.5.csv"]
 
 
-def test_find_price_round_cap_is_exit_four(tmp_path, capsys):
-    # rho/theta = 1e16: the solve at the cent below the covering price
-    # the search lands on is still moving at the round cap, so it
-    # decides nothing.
+def test_find_price_round_cap_is_exit_four(tmp_path, capsys, monkeypatch):
+    # rho/theta = 1e16 with one round allowed: the solve at the cent below
+    # the covering price the search lands on is still moving at the round
+    # cap, so it decides nothing.
+    monkeypatch.setattr(solver, "MAX_ROUNDS", 1)
     out = tmp_path / "x.csv"
     argv = ["find-price", "--config", CONFIG, "--override", "grid.rho=1e-3"]
     argv += ["--override", "grid.theta=1e-19", "--override", "grid.rho_c=2e16"]
@@ -386,7 +387,7 @@ def test_find_price_round_cap_is_exit_four(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "error: the equilibrium for loss aversion 1 at emergency price 1.11110387494694e+16 "
+        "error: the equilibrium for loss aversion 1 at emergency price 1.11110532047205e+16 "
         "is still moving at the round cap\n"
     )
     assert not out.exists()

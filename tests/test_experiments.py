@@ -410,11 +410,12 @@ def test_covering_price_matches_the_stride_bisect_search_at_far_prices():
 
 
 def test_battery_framed_best_response_budget(monkeypatch):
-    # The published grids.  A solve reuses its repeated responses and
-    # extrapolates as soon as it has three iterates: 1,639 framed
-    # responses in the three sweep families (2,063 when it waited for
-    # three fresh rounds).  The covering-price family makes 244, since its
-    # search reads the stored total (434 when it bisected on coverage).
+    # The published grids.  A solve reuses its repeated responses, and a
+    # symmetric one iterates one best-response map with Steffensen steps:
+    # 1,179 framed responses in the three sweep families (1,639 when every
+    # solve alternated rounds with Aitken steps on player 2's fraction,
+    # 2,063 when it waited for three fresh rounds).  The covering-price
+    # family makes 214 (244 with rounds; 434 when it bisected on coverage).
     calls = []
     real = solver.grid_best_response
 
@@ -434,12 +435,12 @@ def test_battery_framed_best_response_budget(monkeypatch):
         )
     )
     asymmetric_equilibrium(default_scenario(), experiments.inclusive_grid(5.0, 25.0, 0.5))
-    assert len(calls) <= 1650
+    assert len(calls) <= 1179
     calls.clear()
     lams = experiments.inclusive_grid(1.0, 4.0, 0.5)
     for reference in (11.5, 12.5):
         required_emergency_price(default_scenario(reference=reference), lams)
-    assert len(calls) <= 244
+    assert len(calls) <= 214
 
 
 @pytest.mark.parametrize("price_hi", [1e15, 1e307, sys.float_info.max])
@@ -451,21 +452,26 @@ def test_covering_price_search_ignores_a_far_price_ceiling(price_hi, monkeypatch
     assert row.rho_c_star == 11.28
 
 
-def test_covering_price_search_survives_a_huge_incentive_floor(monkeypatch):
-    # rho/theta = 1e16, where neighbouring cents are the same float.
+@pytest.mark.parametrize(("rho", "theta"), [(1e14, 0.01), (1e-3, 1e-19)])
+def test_covering_price_search_survives_a_huge_incentive_floor(rho, theta, monkeypatch):
+    # rho/theta = 1e16, where neighbouring cents are the same float.  At
+    # theta = 1e-19 the game near the star has one symmetric equilibrium
+    # with best-response slope -0.99999, where 200 alternating rounds
+    # stopped still moving; one best-response map settles it.
     _count_solves(monkeypatch, limit=200)
     base = default_scenario()
-    base = replace(base, grid=replace(base.grid, rho=1e14, rho_c=2e16))
+    base = replace(base, grid=replace(base.grid, rho=rho, theta=theta, rho_c=2e16))
     row = required_emergency_price(base, (1.0,), price_hi=4e16)[0]
     assert 1e16 < row.rho_c_star < 4e16
     assert row.total_stored_kwh >= base.grid.l_c
     assert row.converged
 
 
-def test_covering_price_search_refuses_a_solve_at_the_round_cap():
-    # rho/theta = 1e16 again, scaled so that the solve at the cent below
-    # the covering price the search lands on stops at the round cap: its
-    # profile cannot decide coverage.
+def test_covering_price_search_refuses_a_solve_at_the_round_cap(monkeypatch):
+    # rho/theta = 1e16 again, with one round allowed, so that the solve at
+    # the cent below the covering price the search lands on stops at the
+    # round cap: its profile cannot decide coverage.
+    monkeypatch.setattr(solver, "MAX_ROUNDS", 1)
     base = default_scenario()
     base = replace(base, grid=replace(base.grid, rho=1e-3, theta=1e-19, rho_c=2e16))
     with pytest.raises(NotConverged) as exc_info:
