@@ -5,6 +5,8 @@ an uncontested one where the pair can never exceed the critical load,
 and a contested one where the opponent's surplus decides whether the
 purchase gets trimmed.  Both admit closed forms, and so do the best
 response and the four Bayesian Nash equilibrium candidates built from it.
+Each existence condition of a candidate names a pair of best-response
+branches, and the labels are read from those branches.
 """
 
 from __future__ import annotations
@@ -94,6 +96,23 @@ def _snap_unit(x: float) -> float:
     return x
 
 
+def _case(player: int, opponent_alpha: float, s: Scenario) -> BestResponseCase:
+    """Which branch ``player``'s best response to ``opponent_alpha`` takes.
+
+    The one place the threshold and the interior slack are computed: the
+    best response and every existence-condition label read them here.
+    """
+    q1, q2max, rho, k, lc = s.duel(player)
+    t = (lc - q1) / q2max
+    gap = 2.0 * rho / k - 1.0
+    slack = gap * opponent_alpha - t
+    if opponent_alpha <= t:
+        return BestResponseCase("BelowLoadStoreAll", t, slack)
+    if slack > 0.0:
+        return BestResponseCase("InteriorOptimum", t, slack)
+    return BestResponseCase("PriceDominatedStoreAll", t, slack)
+
+
 def best_response_cgt(
     player: int, opponent_alpha: float, s: Scenario
 ) -> tuple[float, BestResponseCase]:
@@ -107,18 +126,12 @@ def best_response_cgt(
       * PriceDominatedStoreAll: the emergency premium is large enough that
         storing everything beats the interior candidate.
     """
-    q1, q2max, rho, k, lc = s.duel(player)
-    t = (lc - q1) / q2max
-    gap = 2.0 * rho / k - 1.0
-    slack = gap * opponent_alpha - t
-    if opponent_alpha <= t:
-        return 1.0, BestResponseCase("BelowLoadStoreAll", t, slack)
-    if slack > 0.0:
-        # The line exists here: a player without one has t > 1 and returned above.
-        intercept, slope = _interior_coefficients(player, s)
-        interior = intercept + slope * opponent_alpha
-        return _snap_unit(interior), BestResponseCase("InteriorOptimum", t, slack)
-    return 1.0, BestResponseCase("PriceDominatedStoreAll", t, slack)
+    case = _case(player, opponent_alpha, s)
+    if case.case_id != "InteriorOptimum":
+        return 1.0, case
+    # The line exists here: a player without one has t > 1 and returned above.
+    intercept, slope = _interior_coefficients(player, s)
+    return _snap_unit(intercept + slope * opponent_alpha), case
 
 
 def _best_response_gaps(profile: StrategyProfile, s: Scenario, tol: float) -> list[float] | None:
@@ -150,54 +163,39 @@ def _interior_coefficients(player: int, s: Scenario) -> tuple[float, float] | No
     return intercept, slope
 
 
-def _conditions(classification: str, profile: tuple[float, float], s: Scenario) -> tuple[str, ...]:
-    """Labels of the sufficient existence conditions the candidate satisfies."""
-    g = s.grid
-    k = g.emergency_value
-    lc = g.l_c
-    q = s.surpluses
-    qmax = (s.microgrids[0].q_max, s.microgrids[1].q_max)
-    gap = 2.0 * g.rho / k - 1.0
-    t1 = (lc - q[0]) / qmax[1]
-    t2 = (lc - q[1]) / qmax[0]
-    labels: list[str] = []
-    if classification == "BNE1":
-        if t1 >= 1.0 and t2 >= 1.0:
-            labels.append("1a")
-        if t1 >= 1.0 and gap <= t2 < 1.0:
-            labels.append("1b")
-        if gap <= t1 < 1.0 and t2 >= 1.0:
-            labels.append("1c")
-        if gap <= t1 < 1.0 and gap <= t2 < 1.0:
-            labels.append("1d")
-    elif classification == "BNE2":
-        a2 = profile[1]
-        if lc >= a2 * qmax[1] + q[0] and gap > t2:
-            labels.append("2a")
-        if gap * a2 <= t1 < a2 and gap > t2:
-            labels.append("2b")
-    elif classification == "BNE3":
-        a1 = profile[0]
-        if lc >= a1 * qmax[0] + q[1] and gap > t1:
-            labels.append("3a")
-        if gap * a1 <= t2 < a1 and gap > t1:
-            labels.append("3b")
-    elif classification == "BNE4":
-        if gap * profile[1] > t1 and gap * profile[0] > t2:
-            labels.append("4a")
-    return tuple(labels)
+# The existence condition each pair of branches meets: player 0's best
+# response to player 1's fraction, then player 1's to player 0's.  The
+# digit is the class of equilibrium the pair supports: 1 where both store
+# all, 2 where only player 1 holds back, 3 only player 0, 4 both.
+_CONDITIONS = {
+    ("BelowLoadStoreAll", "BelowLoadStoreAll"): "1a",
+    ("BelowLoadStoreAll", "PriceDominatedStoreAll"): "1b",
+    ("PriceDominatedStoreAll", "BelowLoadStoreAll"): "1c",
+    ("PriceDominatedStoreAll", "PriceDominatedStoreAll"): "1d",
+    ("BelowLoadStoreAll", "InteriorOptimum"): "2a",
+    ("PriceDominatedStoreAll", "InteriorOptimum"): "2b",
+    ("InteriorOptimum", "BelowLoadStoreAll"): "3a",
+    ("InteriorOptimum", "PriceDominatedStoreAll"): "3b",
+    ("InteriorOptimum", "InteriorOptimum"): "4a",
+}
+
+
+def _condition(profile: tuple[float, float], s: Scenario) -> str:
+    """The existence condition that ``profile``'s two best-response branches meet."""
+    return _CONDITIONS[_case(0, profile[1], s).case_id, _case(1, profile[0], s).case_id]
 
 
 def bne_candidates(s: Scenario) -> list[tuple[str, StrategyProfile, tuple[str, ...]]]:
     """The closed-form equilibrium candidates, possibly out of range.
 
     Each entry is ``(label, profile, conditions)``: the candidate's label
-    (BNE1..BNE4), its unverified profile, and the labels of the
-    sufficient existence conditions it satisfies.  Candidates that need
-    the interior best response of a player without surplus are left out,
-    and so are candidates whose arithmetic overflows (a surplus near the
-    bottom of the float range): an infinite or NaN fraction is no
-    equilibrium.
+    (BNE1..BNE4), its unverified profile, and the sufficient existence
+    condition it meets, if any: the one its pair of best-response branches
+    names, kept only when that condition's digit is the candidate's class.
+    Candidates that need the interior best response of a player without
+    surplus are left out, and so are candidates whose arithmetic overflows
+    (a surplus near the bottom of the float range): an infinite or NaN
+    fraction is no equilibrium.
     """
     one = _interior_coefficients(0, s)
     two = _interior_coefficients(1, s)
@@ -213,11 +211,13 @@ def bne_candidates(s: Scenario) -> list[tuple[str, StrategyProfile, tuple[str, .
             a1 = (d1 + c1 * d2) / denom
             a2 = (d2 + c2 * d1) / denom
             candidates.append(("BNE4", (_snap_unit(a1), _snap_unit(a2))))
-    return [
-        (label, StrategyProfile.of(*cand), _conditions(label, cand, s))
-        for label, cand in candidates
-        if all(math.isfinite(a) for a in cand)
-    ]
+    entries = []
+    for label, cand in candidates:
+        if all(math.isfinite(a) for a in cand):
+            condition = _condition(cand, s)
+            met = (condition,) if label == "BNE" + condition[0] else ()
+            entries.append((label, StrategyProfile.of(*cand), met))
+    return entries
 
 
 def enumerate_bne(s: Scenario) -> list[EquilibriumResult]:
@@ -225,7 +225,8 @@ def enumerate_bne(s: Scenario) -> list[EquilibriumResult]:
 
     Candidates whose fractions leave [0, 1] are discarded; the rest are
     verified directly against the best response rather than trusting the
-    condition algebra.  Condition labels are reported for the survivors.
+    condition labels.  Survivors keep the condition ``bne_candidates``
+    gives them.
     """
     results: list[EquilibriumResult] = []
     seen: list[StrategyProfile] = []

@@ -119,8 +119,8 @@ class SweepSpec:
     base: Scenario
     swept_parameter: str
     values: tuple[float, ...]
-    # Second axis for the emergency-price sweep: the reference points
-    # evaluated at each swept price.
+    # Second axis of the emergency-price sweep, and of no other: the
+    # reference points evaluated at each swept price.
     reference_values: tuple[float, ...] | None = None
 
     def __post_init__(self):
@@ -130,6 +130,11 @@ class SweepSpec:
                 f"got {self.swept_parameter!r}"
             )
         object.__setattr__(self, "values", _grid("values", self.values))
+        if (self.reference_values is None) == (self.swept_parameter == "emergency_price"):
+            raise ValueError(
+                "reference_values are required by the emergency_price sweep and taken by "
+                f"no other, got {self.reference_values!r} for {self.swept_parameter!r}"
+            )
         if self.reference_values is not None:
             object.__setattr__(
                 self, "reference_values", _grid("reference_values", self.reference_values)
@@ -280,9 +285,6 @@ def sweep_emergency_price(spec: SweepSpec) -> list[EmergencyPriceRow]:
     reference grid applied to both framed players at each price.
     """
     _expect_kind(spec, "emergency_price")
-    if spec.reference_values is None:
-        raise ValueError("emergency_price sweep needs reference_values")
-
     # Every swept price must leave a valid scenario (incentive
     # condition included) before any solve starts.
     priced = [validate_scenario(_variant(spec.base, rho_c)) for rho_c in spec.values]

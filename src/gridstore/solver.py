@@ -12,9 +12,8 @@ best-response map, any other game alternating rounds.  All but the
 oracle runs on plain floats.
 
 The numerics are fixed: a 1e-12 fixed-point tolerance (``TOL``), a
-200-round guard (``MAX_ROUNDS``), a 1e-5 match to a rational BNE
-(``CLASSIFY_TOL``) and a 1e-10 relative quadrature tolerance
-(``QUAD_REL_TOL``).
+200-round guard (``MAX_ROUNDS``) and a 1e-10 relative quadrature
+tolerance (``QUAD_REL_TOL``).
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from .model import Scenario, StrategyProfile, realized_utility
 __all__ = [
     "TOL",
     "MAX_ROUNDS",
-    "CLASSIFY_TOL",
     "QUAD_REL_TOL",
     "quadrature_expected_utility",
     "grid_best_response",
@@ -39,7 +37,6 @@ __all__ = [
 TOL = 1e-12
 MAX_ROUNDS = 200
 QUAD_REL_TOL = 1e-10
-CLASSIFY_TOL = 1e-5
 _ROOT_XTOL, _ROOT_STEPS = 1e-14, 100  # root finder: bracket width, step limit
 _SETTLING = 1e-10  # fixed-point steps this short read _ROOT_XTOL into their ratio
 
@@ -259,6 +256,9 @@ def iterate_best_response(
     application moving no fraction by more than ``TOL`` converges;
     ``iterations`` counts the applications of the map that ends the solve,
     at most ``MAX_ROUNDS``, after which a moving result is not converged.
+    A converged solve of two rational players takes the class
+    ``BNE<digit>`` of the existence condition its two best-response
+    branches meet (``cgt``); any other solve is ``PT-Iterated``.
     """
     framed = tuple(p is not None for p in s.prospect)
     symmetric = all(framed) and s.prospect[0] == s.prospect[1] and s.duel(0) == s.duel(1)
@@ -296,26 +296,13 @@ def iterate_best_response(
         else cgt.expected_utility_cgt(p, profile, s)
         for p in (0, 1)
     )
+    labelled = delta <= TOL and not any(framed)
     return cgt.EquilibriumResult(
         profile=profile,
-        classification=_classify(profile, s, framed),
+        classification="BNE" + cgt._condition(a, s)[0] if labelled else "PT-Iterated",
         conditions=(),
         expected_utilities=utilities,
         converged=delta <= TOL,
         iterations=rounds,
         residual=delta,
     )
-
-
-def _classify(
-    profile: StrategyProfile,
-    s: Scenario,
-    framed: tuple[bool, ...],
-) -> str:
-    """Label an iterated result; purely rational runs map onto a closed-form BNE."""
-    if any(framed):
-        return "PT-Iterated"
-    for res in cgt.enumerate_bne(s):
-        if all(abs(profile[p] - res.profile[p]) <= CLASSIFY_TOL for p in (0, 1)):
-            return res.classification
-    return "PT-Iterated"

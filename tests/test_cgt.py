@@ -152,6 +152,39 @@ def test_enumerate_computes_each_best_response_once(monkeypatch):
     assert calls == [(p, c[1 - p]) for c in in_range for p in (0, 1)]
 
 
+def test_conditions_are_exhaustive_and_sufficient():
+    # Every equilibrium meets exactly one condition, whose digit is its
+    # class, and every in-range candidate that meets its own condition
+    # is an equilibrium.
+    rng = random.Random("condition-table")
+    for _ in range(5_000):
+        s = random_scenario(rng)
+        for eq in enumerate_bne(s):
+            assert len(eq.conditions) == 1
+            assert eq.classification == "BNE" + eq.conditions[0][0]
+        for label, profile, conditions in cgt.bne_candidates(s):
+            assert all(c[0] == label[-1] for c in conditions)
+            if conditions and all(0.0 <= a <= 1.0 for a in profile):
+                assert verify_bne(profile, s)
+
+
+def test_out_of_range_candidate_meets_no_condition():
+    # gap = -1/3 here, so gap * alpha > t held for the (-16, -16) interior
+    # candidate only because both fractions are negative; each player's
+    # best response to -16 stores everything, which is no BNE4.
+    base = benchmark_scenario(l_c=160.0)
+    s = replace(
+        base,
+        grid=replace(base.grid, rho_c=30.0),
+        microgrids=tuple(replace(m, q=40.0) for m in base.microgrids),
+    )
+    candidates = {label: (tuple(a), met) for label, a, met in cgt.bne_candidates(s)}
+    assert candidates["BNE4"][0] == pytest.approx((-16.0, -16.0), rel=1e-12)
+    assert candidates["BNE4"][1] == ()
+    assert candidates["BNE1"] == ((1.0, 1.0), ("1d",))
+    assert [(eq.classification, eq.conditions) for eq in enumerate_bne(s)] == [("BNE1", ("1d",))]
+
+
 def test_interior_equilibrium_matches_linear_solve():
     # The interior equilibrium is the solution of two coupled affine best
     # responses; solve that 2x2 system directly and compare.

@@ -84,6 +84,20 @@ def test_enumerate_lists_all_four_candidates(capsys):
         assert label in out
 
 
+def test_enumerate_gives_an_out_of_range_candidate_no_condition(capsys):
+    # The interior candidate (-16, -16) is no BNE4: each best response to
+    # a negative fraction stores everything.
+    overrides = ("grid.rho_c=30", "grid.l_c=160", "microgrids.0.q=40", "microgrids.1.q=40")
+    argv = ["enumerate", "--config", CONFIG]
+    for o in overrides:
+        argv += ["--override", o]
+    assert run(argv) == 0
+    rows = {line.split()[0]: line.split() for line in capsys.readouterr().out.splitlines()[1:]}
+    assert rows["BNE1"][-2:] == ["yes", "1d"]
+    assert rows["BNE4"][1:3] == ["-16.000000", "-16.000000"]
+    assert rows["BNE4"][-2:] == ["-", "-"]
+
+
 def test_solve_pt_converges_on_benchmark(capsys):
     assert run(["solve-pt", "--config", CONFIG]) == 0
     out = capsys.readouterr().out

@@ -68,6 +68,20 @@ def test_spec_rejects_bad_grids():
         )
 
 
+def test_spec_refuses_reference_values_outside_the_price_sweep():
+    # No other family reads a second axis, so it would be dropped unseen.
+    for kind in ("reference_point", "reference_point_asymmetric"):
+        with pytest.raises(ValueError, match="reference_values"):
+            SweepSpec(default_scenario(), kind, values=(11.5,), reference_values=(5.0, 6.0))
+
+
+def test_spec_refuses_a_price_sweep_without_reference_values(monkeypatch):
+    solves = _count_solves(monkeypatch)
+    with pytest.raises(ValueError, match="reference_values"):
+        run_sweep(SweepSpec(default_scenario(), "emergency_price", values=(11.5,)))
+    assert solves == []
+
+
 def test_inclusive_grid_refuses_what_its_contract_excludes():
     for lo, hi, step in ((0.0, 1.0, 0.0), (2.0, 1.0, 0.5), (0.0, 1.0, -0.5),
                          (math.nan, 1.0, 0.5), (0.0, math.inf, 0.5)):

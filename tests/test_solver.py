@@ -25,6 +25,7 @@ from gridstore import (
     asymmetric_equilibrium,
     best_response_cgt,
     default_scenario,
+    enumerate_bne,
     grid_best_response,
     iterate_best_response,
     quadrature_expected_utility,
@@ -45,6 +46,7 @@ from helpers import (
     framed_benchmark,
     framed_region_draw,
     plain_rounds,
+    random_scenario,
 )
 
 CONFIG = str(Path(__file__).resolve().parent.parent / "configs" / "defaults.json")
@@ -221,6 +223,21 @@ def test_each_player_rule_is_raised_in_one_place():
     assert ("MissingProspectParams", "model.Scenario.prospect_of") in sites
 
 
+def test_each_rational_branch_is_decided_in_one_place():
+    # ``cgt._case`` alone decides a rational best response's branch; the
+    # best response and every existence-condition label read it there, so
+    # the threshold algebra has one copy.
+    src = Path(gridstore.__file__).resolve().parent
+    sites = set()
+    for path in sorted(src.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            for node in ast.walk(stmt):
+                called = getattr(node, "func", None)
+                if getattr(called, "id", getattr(called, "attr", None)) == "BestResponseCase":
+                    sites.add(f"{path.stem}.{getattr(stmt, 'name', '<module>')}")
+    assert sites == {"cgt._case"}
+
+
 def test_quadrature_neutral_framing_is_a_shift():
     neutral = ProspectParams(r=3.0, lam=1.0, beta_plus=1.0, beta_minus=1.0)
     s = benchmark_scenario(prospect=(neutral, None))
@@ -268,6 +285,32 @@ def test_iteration_rational_players_reach_interior_equilibrium():
     assert res.profile[0] == pytest.approx(BNE4_ALPHA, abs=2e-5)
     assert res.profile[1] == pytest.approx(BNE4_ALPHA, abs=2e-5)
     assert res.residual <= 1e-6
+
+
+def test_rational_solve_takes_the_class_of_the_equilibrium_it_reaches():
+    # A rational solve reads its class from the best-response branches at
+    # its own profile; that must be the class of the closed-form
+    # equilibrium there, from (1, 1) and from a random start alike.
+    rng = random.Random("rational-solve-class")
+    for _ in range(3_000):
+        s = random_scenario(rng)
+        closed = enumerate_bne(s)
+        for start in (None, StrategyProfile.of(rng.random(), rng.random())):
+            res = iterate_best_response(s, start)
+            assert res.converged
+            reached = [
+                eq.classification
+                for eq in closed
+                if all(abs(res.profile[p] - eq.profile[p]) <= 1e-9 for p in (0, 1))
+            ]
+            assert reached == [res.classification]
+
+
+def test_unconverged_rational_solve_is_not_classified(monkeypatch):
+    monkeypatch.setattr(solver, "MAX_ROUNDS", 1)
+    res = iterate_best_response(benchmark_scenario())
+    assert not res.converged
+    assert res.classification == "PT-Iterated"
 
 
 def test_iteration_framed_pair_benchmark_reference():
