@@ -226,19 +226,16 @@ def enumerate_bne(s: Scenario) -> list[EquilibriumResult]:
     Candidates whose fractions leave [0, 1] are discarded; the rest are
     verified directly against the best response rather than trusting the
     condition labels.  Survivors keep the condition ``bne_candidates``
-    gives them.
+    gives them.  Of survivors that coincide within ``_SNAP`` (at a
+    threshold tie) the first that meets its condition is kept, else the first.
     """
     results: list[EquilibriumResult] = []
-    seen: list[StrategyProfile] = []
     for classification, profile, conditions in bne_candidates(s):
         if not all(0.0 <= a <= 1.0 for a in profile):
             continue
         gaps = _best_response_gaps(profile, s, 1e-9)
         if gaps is None:
             continue
-        if any(abs(profile[0] - p0) <= _SNAP and abs(profile[1] - p1) <= _SNAP for p0, p1 in seen):
-            continue
-        seen.append(profile)
         results.append(
             EquilibriumResult(
                 profile=profile,
@@ -253,4 +250,8 @@ def enumerate_bne(s: Scenario) -> list[EquilibriumResult]:
                 residual=max(gaps),
             )
         )
-    return results
+    kept: list[EquilibriumResult] = []
+    for eq in sorted(results, key=lambda r: not r.conditions):
+        if all(abs(eq.profile[0] - k.profile[0]) > _SNAP or abs(eq.profile[1] - k.profile[1]) > _SNAP for k in kept):
+            kept.append(eq)
+    return sorted(kept, key=lambda r: r.classification)

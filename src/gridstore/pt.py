@@ -7,9 +7,10 @@ expected framed utility against a uniform opponent type still splits
 into an uncontested part (a point mass in utility space) and a contested
 integral, which takes the antiderivative of each value segment, gain and
 loss, between the untrimmed utility and the trimmed one at the largest
-opponent surplus.  ``framed_evaluators`` returns four values at once: it,
-its slope and its curvature in the own fraction, and the cuts where those
-break.  Everything runs on plain floats.
+opponent surplus.  ``framed_game`` computes a player's constants once and
+returns, per opponent fraction, four values at once: it, its slope and
+its curvature in the own fraction, and the cuts where those break.
+Everything runs on plain floats.
 
 For a fixed opponent fraction ``a2``, the cuts split the own fractions
 [0, 1] into pieces on each of which the slope is quasi-convex: it falls,
@@ -55,79 +56,87 @@ def pt_value(u: float, p: ProspectParams) -> float:
     return 0.0
 
 
-def framed_evaluators(a2, q1, q2max, rho, k, lc, pp: ProspectParams):
-    """Expected framed utility, slope and curvature in the own fraction ``a1``, and cuts.
+def framed_game(q1, q2max, rho, k, lc, pp: ProspectParams):
+    """The framed game's constants, once per player: ``evaluators(a2)`` per opponent fraction.
 
-    Three closures against a fixed ``a2`` that compute every term free of
-    ``a1`` once, and the cuts: the own fractions in (0, 1), ascending, that
-    split the slope into quasi-convex pieces.  They are the contested
-    boundary (the curvature jumps) and where ``u1`` meets the reference
-    (the slope jumps or is infinite); a crossing at rate 0 has none.  Past
-    the split the trimmed utility falls linearly from ``u1`` to ``u_hi``,
-    so each value segment, gain and loss, integrates to its antiderivative
-    between the two, and in the slope the terms at the split cancel.
-    Where ``u1`` meets a curved reference the slope is +inf and the
-    curvature infinite; the curvature also jumps at the contested
-    boundary, so read it inside a piece.  The constants dividing by
-    ``k*a2*q2max`` wait for the first contested read, which alone raises at 0.
+    ``evaluators(a2)`` returns the expected framed utility, its slope and
+    its curvature in the own fraction ``a1`` (three closures against a
+    fixed ``a2`` that compute every term free of ``a1`` once), and the
+    cuts: the own fractions in (0, 1), ascending, that split the slope into
+    quasi-convex pieces.  They are the contested boundary (the curvature
+    jumps) and where ``u1`` meets the reference (the slope jumps or is
+    infinite); a crossing at rate 0 has none.  Past the split the trimmed
+    utility falls linearly from ``u1`` to ``u_hi``, so each value segment,
+    gain and loss, integrates to its antiderivative between the two, and
+    in the slope the terms at the split cancel.  Where ``u1`` meets a
+    curved reference the slope is +inf and the curvature infinite; the
+    curvature also jumps at the contested boundary, so read it inside a
+    piece.  The constants dividing by ``k*a2*q2max`` wait for the first
+    contested read, which alone raises at 0.
     """
     r, lam, bp, bm = pp.r, pp.lam, pp.beta_plus, pp.beta_minus
-    rq, kq, hk, a2q, c = rho * q1, k * q1, 0.5 * k, a2 * q2max, q1 * (k - rho)
-    idle, e, ka2, bp1, bm1 = a2 <= 0.0, q1 * (hk - rho), k * a2, bp + 1.0, bm + 1.0
+    rq, kq, hk, c = rho * q1, k * q1, 0.5 * k, q1 * (k - rho)
+    e, bp1, bm1 = q1 * (hk - rho), bp + 1.0, bm + 1.0
     cc, rqc, ee, lbm, bp_1, bm_1 = c * c, rq * c, e * e, lam * bm, bp - 1.0, bm - 1.0
     bpc, lbmc, bp_2, bm_2 = bp * bp_1, lbm * (1.0 - bm), bp - 2.0, bm - 2.0
     at_ref = math.inf if min(bp, bm) < 1.0 else max(1.0, lam)  # the steeper side's
-    m_g = m_l = drift = None
-    crossings = ((lc - a2q, q1), (r - rq, c))
-    cuts = sorted({x / rate for x, rate in crossings if rate != 0.0 and 0.0 < x / rate < 1.0})
+    ref_cuts = {(r - rq) / c} if c != 0.0 and 0.0 < (r - rq) / c < 1.0 else set()
 
     def value_slope(d):  # of pt_value at u = r + d
         if d > 0.0:
             return bp * d**bp_1
         return lbm * (-d) ** bm_1 if d < 0.0 else at_ref
 
-    # Each closure writes the contested geometry out (the split is
-    # (lc - stored)/a2): a shared helper's call costs a tenth of a response.
-    def utility(a1):
-        nonlocal m_g, m_l
-        keep, stored = rq * (1.0 - a1), a1 * q1
-        u1 = keep + kq * a1
-        v1 = pt_value(u1, pp)
-        if idle or stored + a2q <= lc:
-            return v1
-        u_hi = keep + hk * (stored + lc - a2q)
-        if m_g is None:
-            m_g, m_l = -2.0 / (bp1 * k * a2 * q2max), -2.0 * lam / (bm1 * k * a2 * q2max)
-        gain = m_g * (max(u_hi - r, 0.0) ** bp1 - max(u1 - r, 0.0) ** bp1)
-        loss = m_l * (max(r - u_hi, 0.0) ** bm1 - max(r - u1, 0.0) ** bm1)
-        return ((lc - stored) / a2 / q2max) * v1 + (gain + loss)
+    def evaluators(a2):
+        a2q, idle, ka2 = a2 * q2max, a2 <= 0.0, k * a2
+        m_g = m_l = drift = None
+        x = (lc - a2q) / q1 if q1 != 0.0 else 0.0
+        cuts = sorted(ref_cuts | {x} if 0.0 < x < 1.0 else ref_cuts)
 
-    def slope(a1):
-        nonlocal drift
-        keep, stored = rq * (1.0 - a1), a1 * q1
-        u1 = keep + kq * a1
-        own = c * value_slope(u1 - r)
-        if idle or stored + a2q <= lc:
-            return own
-        if drift is None:
-            drift = e * 2.0 / (ka2 * q2max)
-        u_hi = keep + hk * (stored + lc - a2q)
-        return ((lc - stored) / a2 / q2max) * own + drift * (pt_value(u1, pp) - pt_value(u_hi, pp))
+        # Each closure writes the contested geometry out (the split is
+        # (lc - stored)/a2): a shared helper's call costs a tenth of a response.
+        def utility(a1):
+            nonlocal m_g, m_l
+            keep, stored = rq * (1.0 - a1), a1 * q1
+            u1 = keep + kq * a1
+            v1 = pt_value(u1, pp)
+            if idle or stored + a2q <= lc:
+                return v1
+            u_hi = keep + hk * (stored + lc - a2q)
+            if m_g is None:
+                m_g, m_l = -2.0 / (bp1 * k * a2 * q2max), -2.0 * lam / (bm1 * k * a2 * q2max)
+            gain = m_g * (max(u_hi - r, 0.0) ** bp1 - max(u1 - r, 0.0) ** bp1)
+            loss = m_l * (max(r - u_hi, 0.0) ** bm1 - max(r - u1, 0.0) ** bm1)
+            return ((lc - stored) / a2 / q2max) * v1 + (gain + loss)
 
-    def curvature(a1):
-        keep, stored = rq * (1.0 - a1), a1 * q1
-        d = keep + kq * a1 - r
-        own = cc * (bpc * d**bp_2 if d > 0.0 else lbmc * (-d) ** bm_2 if d < 0.0 else 0.0)
-        if idle or stored + a2q <= lc:
-            return own
-        d_hi = keep + hk * (stored + lc - a2q) - r
-        pull = rqc * value_slope(d) + ee * value_slope(d_hi)
-        return (((lc - stored) / a2) * own - 2.0 * pull / ka2) / q2max
+        def slope(a1):
+            nonlocal drift
+            keep, stored = rq * (1.0 - a1), a1 * q1
+            u1 = keep + kq * a1
+            own = c * value_slope(u1 - r)
+            if idle or stored + a2q <= lc:
+                return own
+            if drift is None:
+                drift = e * 2.0 / (ka2 * q2max)
+            u_hi = keep + hk * (stored + lc - a2q)
+            return ((lc - stored) / a2 / q2max) * own + drift * (pt_value(u1, pp) - pt_value(u_hi, pp))
 
-    return utility, slope, curvature, cuts
+        def curvature(a1):
+            keep, stored = rq * (1.0 - a1), a1 * q1
+            d = keep + kq * a1 - r
+            own = cc * (bpc * d**bp_2 if d > 0.0 else lbmc * (-d) ** bm_2 if d < 0.0 else 0.0)
+            if idle or stored + a2q <= lc:
+                return own
+            d_hi = keep + hk * (stored + lc - a2q) - r
+            pull = rqc * value_slope(d) + ee * value_slope(d_hi)
+            return (((lc - stored) / a2) * own - 2.0 * pull / ka2) / q2max
+
+        return utility, slope, curvature, cuts
+
+    return evaluators
 
 
 def expected_pt_utility(player: int, profile: StrategyProfile, s: Scenario) -> float:
     """Closed-form expected framed utility of ``player`` at ``profile``."""
     pp = s.prospect_of(player)
-    return framed_evaluators(profile[1 - player], *s.duel(player), pp)[0](profile[player])
+    return framed_game(*s.duel(player), pp)(profile[1 - player])[0](profile[player])

@@ -5,11 +5,12 @@ over the opponent's uniform type directly, so it shares no algebra with
 the closed forms it is used to check.  Only tests and the benchmark call
 it, so it imports ``scipy.integrate`` (the ``test`` extra) on its first
 call rather than with this module.  The framed best response takes the
-roots of the closed form's analytic slope, with ``pt.framed_evaluators``
-built once per response.  The iteration solver takes the fixed point of
-best responses by Steffensen's method: a symmetric game iterates its one
-best-response map, any other game alternating rounds.  All but the
-oracle runs on plain floats.
+roots of the closed form's analytic slope, in the ``pt.framed_game`` a
+solve builds once.  The iteration solver takes the fixed point of best
+responses by Steffensen's method: a symmetric game iterates its one
+best-response map, any other game alternating rounds; framed utilities
+come from the record of scored responses.  All but the oracle runs on
+plain floats.
 
 The numerics are fixed: a 1e-12 fixed-point tolerance (``TOL``), a
 200-round guard (``MAX_ROUNDS``) and a 1e-10 relative quadrature
@@ -139,7 +140,7 @@ def grid_best_response(player: int, opponent_alpha: float, s: Scenario) -> float
     """Argmax of the framed closed-form expected utility over the own fraction.
 
     [0, 1] is cut where slope or curvature jump or blow up (the cuts
-    ``pt.framed_evaluators`` returns with them), so each piece is read
+    ``pt.framed_game`` returns with them), so each piece is read
     2**-30 of its width inside its ends.  The slope falls, rises, or
     falls and then rises on a piece (the ``pt`` docstring), so every
     maximum is a root where the slope goes from + to - between two reads
@@ -148,8 +149,13 @@ def grid_best_response(player: int, opponent_alpha: float, s: Scenario) -> float
     0, 1 and those roots wins, the smaller on a tie; a score that is not
     finite raises ``FloatingPointError``.
     """
-    pp, a_opp = s.prospect_of(player), float(opponent_alpha)
-    utility, slope, curvature, inner = pt.framed_evaluators(a_opp, *s.duel(player), pp)
+    game = pt.framed_game(*s.duel(player), s.prospect_of(player))
+    return _framed_response(game, float(opponent_alpha))[0]
+
+
+def _framed_response(game: Callable, a_opp: float) -> tuple[float, float]:
+    """``grid_best_response`` in ``game`` (``pt.framed_game``'s), with its score."""
+    utility, slope, curvature, inner = game(a_opp)
     cuts = [0.0, *inner, 1.0]
     probes = []
     for lo, hi in zip(cuts, cuts[1:]):
@@ -171,7 +177,8 @@ def grid_best_response(player: int, opponent_alpha: float, s: Scenario) -> float
     scores = [utility(a) for a in candidates]
     if not all(map(math.isfinite, scores)):
         raise FloatingPointError("framed utility is not finite")
-    return candidates[scores.index(max(scores))]  # the first, so the smallest, best
+    best = scores.index(max(scores))  # the first, so the smallest, best
+    return candidates[best], scores[best]
 
 
 # ---------------------------------------------------------------------------
@@ -193,23 +200,27 @@ def _steffensen(
     2's last three fractions take shrinking steps (any under ``_SETTLING``
     counts), the next step starts from their Aitken limit, Steffensen's
     method, if it lies in [0, 1] (clipped, it could restart the run) and
-    ``keep``, when given, allows it.  Steps that do not shrink end the run
-    with None under ``stop_unless_shrinking``.  Returns the last profile,
-    its update and the number of steps, at most ``MAX_ROUNDS``.
+    ``keep``, when given, allows it; after two limits, from the secant
+    root of a shrinking step and the one before.  Three that do not shrink
+    end the run with None under ``stop_unless_shrinking``.  Returns the
+    last profile, its update and the number of steps, at most ``MAX_ROUNDS``.
     """
-    xs, steps, delta = [a[1]], 0, math.inf
+    xs, steps, delta, limits, before = [a[1]], 0, math.inf, 0, None
     while delta > TOL and steps < MAX_ROUNDS:
         (a, delta), steps = step(a), steps + 1
         xs = [*xs[-2:], a[1]]
-        if len(xs) < 3 or delta <= TOL:
+        if delta <= TOL or len(xs) == 2 and limits < 2:
             continue
-        d1, d2 = xs[1] - xs[0], xs[2] - xs[1]
+        # The last two (x, F(x) - x): of three iterates, or one and the step before its limit.
+        (x0, d1), x1 = (before, xs[0]) if len(xs) == 2 else ((xs[0], xs[1] - xs[0]), xs[1])
+        d2 = xs[-1] - x1
         if abs(d2) >= abs(d1) > _SETTLING:
-            if stop_unless_shrinking:
+            if stop_unless_shrinking and len(xs) == 3:
                 return None
         elif d1 != d2:
-            limit = xs[2] + d2 * d2 / (d1 - d2)
+            limit = x1 - d2 * (x1 - x0) / (d2 - d1) if len(xs) == 2 else xs[2] + d2 * d2 / (d1 - d2)
             if 0.0 <= limit <= 1.0 and (keep is None or keep(a, limit)):
+                limits, before = limits + 1, (x1, d2)
                 a, xs = (a[0], limit), [limit]
     return a, delta, steps
 
@@ -262,15 +273,21 @@ def iterate_best_response(
     """
     framed = tuple(p is not None for p in s.prospect)
     symmetric = all(framed) and s.prospect[0] == s.prospect[1] and s.duel(0) == s.duel(1)
-    # By opponent fraction: one record per player, or one for both.
-    responses: tuple[dict[float, float], ...] = ({},) * 2 if symmetric else ({}, {})
+
+    def game(p: int) -> Callable | None:
+        return pt.framed_game(*s.duel(p), s.prospect[p]) if framed[p] else None
+
+    # One game and one record of (response, score) by opponent fraction
+    # per player, or one of each for both.
+    games = (game(0),) * 2 if symmetric else (game(0), game(1))
+    responses: tuple[dict[float, tuple[float, float]], ...] = ({},) * 2 if symmetric else ({}, {})
 
     def respond(p: int, a_opp: float) -> float:
         if not framed[p]:
             return cgt.best_response_cgt(p, a_opp, s)[0]
         if a_opp not in responses[p]:
-            responses[p][a_opp] = grid_best_response(p, a_opp, s)
-        return responses[p][a_opp]
+            responses[p][a_opp] = _framed_response(games[p], a_opp)
+        return responses[p][a_opp][0]
 
     def reflect(a: Profile) -> tuple[Profile, float]:
         b = respond(1, a[1])
@@ -290,12 +307,14 @@ def iterate_best_response(
         run = None
     a, delta, rounds = run or _steffensen(play, start, same_side if symmetric else None)
     profile = StrategyProfile.of(*a)
-    utilities = tuple(
-        pt.expected_pt_utility(p, profile, s)
-        if framed[p]
-        else cgt.expected_utility_cgt(p, profile, s)
-        for p in (0, 1)
-    )
+
+    def utility(p: int) -> float:  # a framed player's from the record when it answered there
+        if not framed[p]:
+            return cgt.expected_utility_cgt(p, profile, s)
+        response, score = responses[p].get(a[1 - p], (None, None))
+        return score if response == a[p] else games[p](a[1 - p])[0](a[p])
+
+    utilities = (utility(0), utility(1))
     labelled = delta <= TOL and not any(framed)
     return cgt.EquilibriumResult(
         profile=profile,

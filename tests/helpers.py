@@ -19,6 +19,7 @@ from gridstore.model import (
     Scenario,
     StrategyProfile,
 )
+from gridstore import pt, solver
 from gridstore.solver import TOL, grid_best_response, iterate_best_response
 
 BENCH_PROSPECT = ProspectParams(r=11.5, lam=2.25, beta_plus=0.88, beta_minus=0.88)
@@ -375,6 +376,43 @@ def plain_rounds(s: Scenario, rounds: int = 20_000) -> tuple[tuple[float, float]
             return nxt, True
         a = nxt
     return a, False
+
+
+class FramedWork(NamedTuple):
+    """What framed best responses cost, appended to as the package runs."""
+
+    responses: list  # (game, opponent fraction) per framed best response
+    games: list  # the duel and prospect of each ``pt.framed_game`` build
+    evaluators: list  # the opponent fraction of each evaluator set built
+
+
+def count_framed_work(monkeypatch) -> FramedWork:
+    """Count the framed work of every solve and ``grid_best_response`` call.
+
+    Patches ``solver._framed_response``, which every framed best response
+    goes through, and ``pt.framed_game``, whose games build the evaluator
+    sets.  Evaluator sets beyond the responses score a final profile.
+    """
+    work = FramedWork([], [], [])
+    respond, build = solver._framed_response, pt.framed_game
+
+    def counted_response(game, a_opp):
+        work.responses.append((game, a_opp))
+        return respond(game, a_opp)
+
+    def counted_game(*args):
+        work.games.append(args)
+        evaluators = build(*args)
+
+        def counted_evaluators(a2):
+            work.evaluators.append(a2)
+            return evaluators(a2)
+
+        return counted_evaluators
+
+    monkeypatch.setattr(solver, "_framed_response", counted_response)
+    monkeypatch.setattr(pt, "framed_game", counted_game)
+    return work
 
 
 def covering_kind(row) -> str:

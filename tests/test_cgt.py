@@ -17,11 +17,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gridstore import (
+    GridParams,
+    MicrogridConfig,
+    Scenario,
     StrategyProfile,
     best_response_cgt,
     default_scenario,
     enumerate_bne,
     expected_utility_cgt,
+    iterate_best_response,
     verify_bne,
 )
 from gridstore import cgt
@@ -183,6 +187,26 @@ def test_out_of_range_candidate_meets_no_condition():
     assert candidates["BNE4"][1] == ()
     assert candidates["BNE1"] == ((1.0, 1.0), ("1d",))
     assert [(eq.classification, eq.conditions) for eq in enumerate_bne(s)] == [("BNE1", ("1d",))]
+
+
+def test_threshold_tie_keeps_the_candidate_that_meets_its_condition():
+    # Player 0's interior optimum against 1 is 4e-16 below 1 (slack
+    # 2.2e-16), so BNE1 (1, 1), which meets no condition, and BNE3, which
+    # meets 3a, coincide within the snap tolerance; a solve reads BNE3.
+    s = Scenario(
+        grid=GridParams(
+            rho=0.21813644600213922, rho_c=1.5955877656805744,
+            theta=0.14975467382762334, l_c=79.33322205975881,
+        ),
+        microgrids=(
+            MicrogridConfig(q=36.8978561335219, q_max=51.13322561217692),
+            MicrogridConfig(q=5.510090548651031, q_max=51.38594594382563),
+        ),
+    )
+    [eq] = enumerate_bne(s)
+    assert (eq.classification, eq.conditions) == ("BNE3", ("3a",))
+    assert tuple(eq.profile) == (0.9999999999999996, 1.0)
+    assert iterate_best_response(s).classification == eq.classification
 
 
 def test_interior_equilibrium_matches_linear_solve():

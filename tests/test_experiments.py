@@ -23,6 +23,7 @@ from gridstore import (
     asymmetric_equilibrium,
     default_scenario,
     enumerate_bne,
+    expected_pt_utility,
     iterate_best_response,
     max_deviation_by_price,
     required_emergency_price,
@@ -35,7 +36,7 @@ from gridstore import (
 from gridstore import experiments, solver
 from gridstore.errors import NoCoveragePrice, NotConverged
 
-from helpers import covering_kind, stride_bisect_covering_price
+from helpers import count_framed_work, covering_kind, stride_bisect_covering_price
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -423,21 +424,8 @@ def test_covering_price_matches_the_stride_bisect_search_at_far_prices():
     _assert_matches_stride_bisect(huge_floor, price_hi=4e16)
 
 
-def test_battery_framed_best_response_budget(monkeypatch):
-    # The published grids.  A solve reuses its repeated responses, and a
-    # symmetric one iterates one best-response map with Steffensen steps:
-    # 1,179 framed responses in the three sweep families (1,639 when every
-    # solve alternated rounds with Aitken steps on player 2's fraction,
-    # 2,063 when it waited for three fresh rounds).  The covering-price
-    # family makes 214 (244 with rounds; 434 when it bisected on coverage).
-    calls = []
-    real = solver.grid_best_response
-
-    def counted(player, opponent_alpha, scenario):
-        calls.append(player)
-        return real(player, opponent_alpha, scenario)
-
-    monkeypatch.setattr(solver, "grid_best_response", counted)
+def _battery_sweeps():
+    """The three sweep families on the published grids."""
     references = experiments.inclusive_grid(5.0, 16.0, 0.25)
     sweep_reference_point(
         SweepSpec(default_scenario(), "reference_point", values=references)
@@ -449,12 +437,51 @@ def test_battery_framed_best_response_budget(monkeypatch):
         )
     )
     asymmetric_equilibrium(default_scenario(), experiments.inclusive_grid(5.0, 25.0, 0.5))
-    assert len(calls) <= 1179
-    calls.clear()
+
+
+def _battery_coverage():
+    """The covering-price family on the published grid."""
     lams = experiments.inclusive_grid(1.0, 4.0, 0.5)
     for reference in (11.5, 12.5):
         required_emergency_price(default_scenario(reference=reference), lams)
-    assert len(calls) <= 214
+
+
+def test_battery_framed_best_response_budget(monkeypatch):
+    # The published grids.  A solve reuses its repeated responses, and a
+    # symmetric one iterates one best-response map with Steffensen steps,
+    # secant steps after two: 1,095 framed responses in the three sweep
+    # families (1,179 with Aitken steps only, 1,639 when every solve
+    # alternated rounds, 2,063 when it waited for three fresh rounds).  The
+    # covering-price family makes 214 (244 with rounds; 434 when it
+    # bisected on coverage).  A framed player's reported utility comes from
+    # the record where it answered the final profile: 100 sweep and 4
+    # covering-price evaluator sets score the rest (401 and 184 before).
+    work = count_framed_work(monkeypatch)
+    _battery_sweeps()
+    assert len(work.responses) <= 1095
+    assert len(work.evaluators) - len(work.responses) <= 100
+    for counts in work:
+        counts.clear()
+    _battery_coverage()
+    assert len(work.responses) <= 214
+    assert len(work.evaluators) - len(work.responses) <= 4
+
+
+def test_battery_framed_utilities_are_the_closed_form(monkeypatch):
+    solves = []
+
+    def solve(s):
+        solves.append((s, solver.iterate_best_response(s)))
+        return solves[-1][1]
+
+    monkeypatch.setattr(experiments, "iterate_best_response", solve)
+    _battery_sweeps()
+    _battery_coverage()
+    assert len(solves) == 313
+    for s, res in solves:
+        for p in (0, 1):
+            if s.prospect[p] is not None:
+                assert res.expected_utilities[p] == expected_pt_utility(p, res.profile, s), s
 
 
 @pytest.mark.parametrize("price_hi", [1e15, 1e307, sys.float_info.max])

@@ -27,7 +27,7 @@ from gridstore import (
     quadrature_expected_utility,
 )
 from gridstore.errors import MissingProspectParams
-from gridstore.pt import framed_evaluators
+from gridstore.pt import framed_game
 
 from helpers import (
     BENCH_PROSPECT,
@@ -229,7 +229,7 @@ def test_scalar_and_grid_evaluators_agree():
         q1, q2max, rho, k, lc = s.duel(0)
         pp = s.prospect[0]
         dense = float(dense_pt_utility_grid(a1, a2, q1, q2max, rho, k, lc, pp)[0])
-        scalar = framed_evaluators(a2, q1, q2max, rho, k, lc, pp)[0](a1)
+        scalar = framed_game(q1, q2max, rho, k, lc, pp)(a2)[0](a1)
         assert scalar == pytest.approx(dense, rel=1e-12)
 
 
@@ -249,7 +249,7 @@ def test_framed_value_continuous_at_trimming_onset():
 
 
 def _slope(s, a1: float, a2: float) -> float:
-    return framed_evaluators(a2, *s.duel(0), s.prospect[0])[1](a1)
+    return framed_game(*s.duel(0), s.prospect[0])(a2)[1](a1)
 
 
 def _quadrature_slope(s, a1: float, a2: float, h: float = 1e-6) -> float:
@@ -322,7 +322,7 @@ def _curvature_cases():
 def test_curvature_matches_a_central_difference_of_the_slope():
     checked = 0
     for s, a1, a2 in _curvature_cases():
-        _, _, curvature, cuts = framed_evaluators(a2, *s.duel(0), s.prospect[0])
+        _, _, curvature, cuts = framed_game(*s.duel(0), s.prospect[0])(a2)
         h = 1e-6
         # Away from every cut, so the difference stays on one piece.
         if min((abs(a1 - b) for b in cuts), default=1.0) < 1e-3:

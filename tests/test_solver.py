@@ -42,6 +42,7 @@ from helpers import (
     BENCH_PROSPECT,
     FEASIBLE_CELLS,
     benchmark_scenario,
+    count_framed_work,
     dense_framed_argmax,
     framed_benchmark,
     framed_region_draw,
@@ -366,14 +367,7 @@ def test_a_solve_reuses_its_repeated_best_responses(monkeypatch):
     # round 2 asks both players the same questions as round 1.
     s = default_scenario(lam=1.0)
     s = replace(s, grid=replace(s.grid, rho_c=11.28))
-    calls = []
-    real = solver.grid_best_response
-
-    def counted(player, opponent_alpha, scenario):
-        calls.append((player, opponent_alpha))
-        return real(player, opponent_alpha, scenario)
-
-    monkeypatch.setattr(solver, "grid_best_response", counted)
+    calls = count_framed_work(monkeypatch).responses
     res = iterate_best_response(s)
     assert res.converged and res.iterations == 2
     assert max(res.profile) == 1.0
@@ -393,7 +387,7 @@ def mutual_residual(s, profile) -> float:
 
 
 def _framed_utility(s, player: int, a1: float, a2: float) -> float:
-    return pt.framed_evaluators(a2, *s.duel(player), s.prospect[player])[0](a1)
+    return pt.framed_game(*s.duel(player), s.prospect[player])(a2)[0](a1)
 
 
 def _price_row(rho_c: float, reference: float):
@@ -519,14 +513,7 @@ def test_iteration_response_budget(row, per_player, monkeypatch):
     # point) and in the flip band (16 rounds at R = 13.357).  Both players
     # answer by one map here and share its responses, so a budget of n
     # responses a player allows 2n in all.
-    calls = []
-    real = solver.grid_best_response
-
-    def counted(player, opponent_alpha, scenario):
-        calls.append(player)
-        return real(player, opponent_alpha, scenario)
-
-    monkeypatch.setattr(solver, "grid_best_response", counted)
+    calls = count_framed_work(monkeypatch).responses
     s = _game(*row)
     res = iterate_best_response(s)
     assert res.converged and res.residual <= TOL
@@ -693,18 +680,59 @@ def test_framed_best_responses_are_pinned_bit_for_bit():
 
 
 def test_a_best_response_builds_its_evaluators_once(monkeypatch):
-    calls = []
-    real = pt.framed_evaluators
-
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(pt, "framed_evaluators", counted)
+    work = count_framed_work(monkeypatch)
     for s, opp in _best_response_cases():
-        calls.clear()
         grid_best_response(0, opp, s)
-        assert len(calls) == 1, (s, opp)
+        assert len(work.games) == len(work.evaluators) == len(work.responses) == 1, (s, opp)
+        for counts in work:
+            counts.clear()
+
+
+def _solve_draws(n: int, seed: str):
+    """Symmetric, heterogeneous (both framed, unlike) and mixed framed games, in turn."""
+    rng = random.Random(seed)
+    for i in range(n):
+        if i % 3 == 0:
+            yield _game(rng.uniform(5.0, 16.0), rng.uniform(1.0, 4.0), rng.uniform(10.2, 14.0))
+            continue
+        s = random_scenario(rng, framed=True)
+        other = None if i % 3 == 2 else replace(s.prospect[0], r=s.prospect[0].r * rng.uniform(0.8, 1.2))
+        yield replace(s, prospect=(s.prospect[0], other))
+
+
+def test_a_solve_builds_each_framed_game_once(monkeypatch):
+    # Players framed alike share one game; any other framed player builds its own.
+    work = count_framed_work(monkeypatch)
+    for s in _solve_draws(60, "framed-games"):
+        framed = [p for p in (0, 1) if s.prospect[p] is not None]
+        shared = len(framed) == 2 and s.prospect[0] == s.prospect[1] and s.duel(0) == s.duel(1)
+        iterate_best_response(s)
+        assert len(work.games) == len(framed) - shared, s
+        assert work.games == [(*s.duel(p), s.prospect[p]) for p in framed[: len(work.games)]]
+        for counts in work:
+            counts.clear()
+
+
+def test_framed_utilities_are_the_closed_form_at_the_reported_profile():
+    # A solve reads a framed player's utility from its record when that
+    # player's last response is its reported fraction; the rest it scores.
+    for s in _solve_draws(240, "reported-utilities"):
+        res = iterate_best_response(s)
+        for p in (0, 1):
+            if s.prospect[p] is not None:
+                assert res.expected_utilities[p] == pt.expected_pt_utility(p, res.profile, s), s
+
+
+def test_framed_best_response_never_rises_in_the_opponent_fraction():
+    # ROADMAP direction 2: BR is nonincreasing, so rounds from (1, 1)
+    # descend to the greatest fixed point of BR(BR(x)).
+    rng = random.Random("monotone-best-response")
+    fractions = [i / 100 for i in range(101)]
+    for _ in range(40):
+        s = random_scenario(rng, framed=True)
+        responses = [grid_best_response(0, a, s) for a in fractions]
+        rises = [hi - lo for lo, hi in zip(responses, responses[1:])]
+        assert max(rises) <= 1e-9, (s, max(rises))
 
 
 def test_best_response_scores_no_lower_than_a_dense_argmax():
@@ -720,7 +748,7 @@ def test_root_finder_takes_a_bracket_in_either_direction():
     # curvature's rising root and its negation's falling root are the same bits.
     rising_roots = 0
     for s, opp in _best_response_cases():
-        _, _, curvature, inner = pt.framed_evaluators(opp, *s.duel(0), s.prospect[0])
+        _, _, curvature, inner = pt.framed_game(*s.duel(0), s.prospect[0])(opp)
         cuts = [0.0, *inner, 1.0]
         for lo, hi in zip(cuts, cuts[1:]):
             inset = (hi - lo) * 2.0**-30
@@ -747,7 +775,7 @@ def test_slope_is_quasi_convex_on_every_piece():
     # The pt docstring's argument, sampled: between two breakpoints the
     # slope falls, rises, or falls and then rises.
     for s, opp in _best_response_cases():
-        _, slope, _, inner = pt.framed_evaluators(opp, *s.duel(0), s.prospect[0])
+        _, slope, _, inner = pt.framed_game(*s.duel(0), s.prospect[0])(opp)
         cuts = [0.0, *inner, 1.0]
         for lo, hi in zip(cuts, cuts[1:]):
             xs = np.linspace(lo, hi, 203)[1:-1]
