@@ -9,7 +9,8 @@ integral, which takes the antiderivative of each value segment, gain and
 loss, between the untrimmed utility and the trimmed one at the largest
 opponent surplus.  ``framed_game`` computes a player's constants once and
 returns, per opponent fraction, four values at once: it, its slope and
-its curvature in the own fraction, and the cuts where those break.
+its curvature in the own fraction, and the cuts where those break,
+which name the turning piece.
 Everything runs on plain floats.
 
 For a fixed opponent fraction ``a2``, the cuts split the own fractions
@@ -30,7 +31,9 @@ of ``(1 + (k*a2/2) * (q2max - split)/X)**(beta - 1)``.  That power falls
 as ``a1`` grows, and ``split/X`` (a ratio of affine functions) rises
 whenever ``r <= u1(lc/q1)``, so the curvature changes sign at most once,
 from - to + (at ``beta = 1`` it keeps one sign).  A higher reference is
-covered by sampling in the property test of ``tests/test_solver.py``.
+covered by sampling in the property tests of ``tests/test_solver.py``.
+On every other piece the slope only falls or only rises, so this one,
+the turning piece, is the only one where it can fall and then rise.
 """
 
 from __future__ import annotations
@@ -56,23 +59,36 @@ def pt_value(u: float, p: ProspectParams) -> float:
     return 0.0
 
 
+class Cuts(list):
+    """The own fractions in (0, 1), ascending, that split [0, 1] into pieces.
+
+    ``turning`` is the index, in ``[0, *cuts, 1]``, of the one piece where
+    the slope can fall and then rise, or None.
+    """
+
+    __slots__ = ("turning",)
+
+
 def framed_game(q1, q2max, rho, k, lc, pp: ProspectParams):
     """The framed game's constants, once per player: ``evaluators(a2)`` per opponent fraction.
 
     ``evaluators(a2)`` returns the expected framed utility, its slope and
     its curvature in the own fraction ``a1`` (three closures against a
     fixed ``a2`` that compute every term free of ``a1`` once), and the
-    cuts: the own fractions in (0, 1), ascending, that split the slope into
-    quasi-convex pieces.  They are the contested boundary (the curvature
-    jumps) and where ``u1`` meets the reference (the slope jumps or is
-    infinite); a crossing at rate 0 has none.  Past the split the trimmed
-    utility falls linearly from ``u1`` to ``u_hi``, so each value segment,
-    gain and loss, integrates to its antiderivative between the two, and
-    in the slope the terms at the split cancel.  Where ``u1`` meets a
-    curved reference the slope is +inf and the curvature infinite; the
-    curvature also jumps at the contested boundary, so read it inside a
-    piece.  The constants dividing by ``k*a2*q2max`` wait for the first
-    contested read, which alone raises at 0.
+    ``Cuts`` that split the slope into quasi-convex pieces.  They are the
+    contested boundary (the curvature jumps) and where ``u1`` meets the
+    reference (the slope jumps or is infinite); a crossing at rate 0 has
+    none.  The turning piece runs from the contested boundary (or 0) to
+    the reference crossing (or 1): contested with ``u1`` below the
+    reference, the one kind where the module docstring lets the slope
+    fall and then rise.  Past the split the trimmed utility falls
+    linearly from ``u1`` to ``u_hi``, so each value segment, gain and
+    loss, integrates to its antiderivative between the two, and in the
+    slope the terms at the split cancel.  Where ``u1`` meets a curved
+    reference the slope is +inf and the curvature infinite; the curvature
+    also jumps at the contested boundary, so read it inside a piece.  The
+    constants dividing by ``k*a2*q2max`` wait for the first contested
+    read, which alone raises at 0.
     """
     r, lam, bp, bm = pp.r, pp.lam, pp.beta_plus, pp.beta_minus
     rq, kq, hk, c = rho * q1, k * q1, 0.5 * k, q1 * (k - rho)
@@ -80,7 +96,8 @@ def framed_game(q1, q2max, rho, k, lc, pp: ProspectParams):
     cc, rqc, ee, lbm, bp_1, bm_1 = c * c, rq * c, e * e, lam * bm, bp - 1.0, bm - 1.0
     bpc, lbmc, bp_2, bm_2 = bp * bp_1, lbm * (1.0 - bm), bp - 2.0, bm - 2.0
     at_ref = math.inf if min(bp, bm) < 1.0 else max(1.0, lam)  # the steeper side's
-    ref_cuts = {(r - rq) / c} if c != 0.0 and 0.0 < (r - rq) / c < 1.0 else set()
+    crossing = (r - rq) / c if c != 0.0 else -math.inf  # where u1 meets r
+    ref_cuts = {crossing} if 0.0 < crossing < 1.0 else set()
 
     def value_slope(d):  # of pt_value at u = r + d
         if d > 0.0:
@@ -91,10 +108,12 @@ def framed_game(q1, q2max, rho, k, lc, pp: ProspectParams):
         a2q, idle, ka2 = a2 * q2max, a2 <= 0.0, k * a2
         m_g = m_l = drift = None
         x = (lc - a2q) / q1 if q1 != 0.0 else 0.0
-        cuts = sorted(ref_cuts | {x} if 0.0 < x < 1.0 else ref_cuts)
+        cuts = Cuts(sorted(ref_cuts | {x} if 0.0 < x < 1.0 else ref_cuts))
+        cuts.turning = int(x > 0.0) if not idle and max(x, 0.0) < min(crossing, 1.0) else None
 
         # Each closure writes the contested geometry out (the split is
-        # (lc - stored)/a2): a shared helper's call costs a tenth of a response.
+        # (lc - stored)/a2), and the slope its two values (d is u - r): a
+        # shared helper's call costs a tenth of a response.
         def utility(a1):
             nonlocal m_g, m_l
             keep, stored = rq * (1.0 - a1), a1 * q1
@@ -112,14 +131,16 @@ def framed_game(q1, q2max, rho, k, lc, pp: ProspectParams):
         def slope(a1):
             nonlocal drift
             keep, stored = rq * (1.0 - a1), a1 * q1
-            u1 = keep + kq * a1
-            own = c * value_slope(u1 - r)
+            d = keep + kq * a1 - r
+            own = c * value_slope(d)
             if idle or stored + a2q <= lc:
                 return own
             if drift is None:
                 drift = e * 2.0 / (ka2 * q2max)
-            u_hi = keep + hk * (stored + lc - a2q)
-            return ((lc - stored) / a2 / q2max) * own + drift * (pt_value(u1, pp) - pt_value(u_hi, pp))
+            d_hi = keep + hk * (stored + lc - a2q) - r
+            v1 = d**bp if d > 0.0 else -lam * (-d) ** bm if d < 0.0 else 0.0
+            v_hi = d_hi**bp if d_hi > 0.0 else -lam * (-d_hi) ** bm if d_hi < 0.0 else 0.0
+            return ((lc - stored) / a2 / q2max) * own + drift * (v1 - v_hi)
 
         def curvature(a1):
             keep, stored = rq * (1.0 - a1), a1 * q1

@@ -39,6 +39,7 @@ TOL = 1e-12
 MAX_ROUNDS = 200
 QUAD_REL_TOL = 1e-10
 _ROOT_XTOL, _ROOT_STEPS = 1e-14, 100  # root finder: bracket width, step limit
+_ROOT_EDGE = 0.5 * _ROOT_XTOL  # the closest a step comes to a bracket end
 _SETTLING = 1e-10  # fixed-point steps this short read _ROOT_XTOL into their ratio
 
 # ---------------------------------------------------------------------------
@@ -116,23 +117,47 @@ def quadrature_expected_utility(
 def _bracketed_root(f: Callable[[float], float], lo, hi, f_lo, f_hi) -> float:
     """Root of ``f`` between ``lo`` and ``hi``, whose reads ``f_lo``, ``f_hi`` differ in sign.
 
-    Illinois false position; a step outside the bracket bisects instead.  A
-    read with ``f_lo``'s sign replaces ``lo``; any other, 0 or NaN, ``hi``.
+    Illinois false position (the kept end's read halves when the other
+    end is replaced twice in a row), until the bracket is at most
+    ``_ROOT_XTOL`` wide, with Brent's two safeguards against a crawl: a
+    step within ``_ROOT_EDGE`` of an end lands that far inside it, and
+    after three replacements of the same end in a row (a stall) the next
+    step bisects, as does a step outside the bracket.  At a later stall
+    of the same end the steps bisect until one replaces it: a slope that
+    runs flat into an end, near a double root, would otherwise cost
+    three stalled steps per halving.  A read with ``f_lo``'s sign
+    replaces ``lo``; any other, 0 or NaN, ``hi``.
     """
-    sign, side = (1.0 if f_lo > 0.0 else -1.0), 0
+    # run: replacements in a row of lo (+) or hi (-); stalls: the ends (lo 1,
+    # hi 2) that have stalled; stale: the end to replace by bisection.
+    sign, run, stalls, stale = (1.0 if f_lo > 0.0 else -1.0), 0, 0, 0
     for _ in range(_ROOT_STEPS):
         if hi - lo <= _ROOT_XTOL:
             break
         x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
-        if not lo < x < hi:
+        stall = not -3 < run < 3
+        if stall and not stale:
+            end = 1 if run > 0 else 2
+            stale, stalls = stalls & end, stalls | end
+        if stall or stale or not lo <= x <= hi:
             x = 0.5 * (lo + hi)
+        elif x < lo + _ROOT_EDGE:
+            x = lo + _ROOT_EDGE
+        elif x > hi - _ROOT_EDGE:
+            x = hi - _ROOT_EDGE
         fx = f(x)
         if sign * fx > 0.0:
-            lo, f_lo, f_hi = x, fx, f_hi * (0.5 if side > 0 else 1.0)
-            side = 1
+            lo, f_lo, stale = x, fx, stale & 2
+            if run > 0:
+                f_hi, run = 0.5 * f_hi, run + 1
+            else:
+                run = 1
         else:
-            hi, f_hi, f_lo = x, fx, f_lo * (0.5 if side < 0 else 1.0)
-            side = -1
+            hi, f_hi, stale = x, fx, stale & 1
+            if run < 0:
+                f_lo, run = 0.5 * f_lo, run - 1
+            else:
+                run = -1
     return 0.5 * (lo + hi)
 
 
@@ -144,10 +169,11 @@ def grid_best_response(player: int, opponent_alpha: float, s: Scenario) -> float
     2**-30 of its width inside its ends.  The slope falls, rises, or
     falls and then rises on a piece (the ``pt`` docstring), so every
     maximum is a root where the slope goes from + to - between two reads
-    (across a cut, a kink), or left of the slope's minimum, a root of
-    the curvature, when the slope dips below 0 there.  The best-scoring of
-    0, 1 and those roots wins, the smaller on a tie; a score that is not
-    finite raises ``FloatingPointError``.
+    (across a cut, a kink), or, on the one piece where the slope can
+    turn, left of the slope's minimum, a root of the curvature, when the
+    slope dips below 0 there.  The best-scoring of 0, 1 and those roots
+    wins, the smaller on a tie; a score that is not finite raises
+    ``FloatingPointError``.
     """
     game = pt.framed_game(*s.duel(player), s.prospect_of(player))
     return _framed_response(game, float(opponent_alpha))[0]
@@ -155,24 +181,22 @@ def grid_best_response(player: int, opponent_alpha: float, s: Scenario) -> float
 
 def _framed_response(game: Callable, a_opp: float) -> tuple[float, float]:
     """``grid_best_response`` in ``game`` (``pt.framed_game``'s), with its score."""
-    utility, slope, curvature, inner = game(a_opp)
-    cuts = [0.0, *inner, 1.0]
-    probes = []
-    for lo, hi in zip(cuts, cuts[1:]):
+    utility, slope, curvature, cuts = game(a_opp)
+    candidates, lo, top, f_top = [0.0, 1.0], 0.0, None, 0.0
+    for i, hi in enumerate([*cuts, 1.0]):
         inset = (hi - lo) * 2.0**-30
-        probes += [lo + inset, hi - inset]
-    slopes = [slope(a) for a in probes]
-    candidates = [0.0, 1.0]
-    # Even steps span a piece, odd ones a cut.
-    for i, (lo, hi, f_lo, f_hi) in enumerate(zip(probes, probes[1:], slopes, slopes[1:])):
-        if i % 2 == 0 and f_lo > 0.0 and f_hi > 0.0:
-            c_lo, c_hi = curvature(lo), curvature(hi)
-            if not c_lo < 0.0 < c_hi:
-                continue
-            hi = _bracketed_root(curvature, lo, hi, c_lo, c_hi)
-            f_hi = slope(hi)
-        if f_lo > 0.0 > f_hi:
-            candidates.append(_bracketed_root(slope, lo, hi, f_lo, f_hi))
+        a, b = lo + inset, hi - inset
+        f_a, f_b = slope(a), slope(b)
+        if f_top > 0.0 > f_a:  # across the cut at lo
+            candidates.append(_bracketed_root(slope, top, a, f_top, f_a))
+        lo, top, f_top = hi, b, f_b
+        if i == cuts.turning and f_a > 0.0 and f_b > 0.0:
+            c_a, c_b = curvature(a), curvature(b)
+            if c_a < 0.0 < c_b:
+                b = _bracketed_root(curvature, a, b, c_a, c_b)
+                f_b = slope(b)
+        if f_a > 0.0 > f_b:
+            candidates.append(_bracketed_root(slope, a, b, f_a, f_b))
     candidates.sort()
     scores = [utility(a) for a in candidates]
     if not all(map(math.isfinite, scores)):

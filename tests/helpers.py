@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import replace
 from typing import NamedTuple
 
@@ -384,21 +385,32 @@ class FramedWork(NamedTuple):
     responses: list  # (game, opponent fraction) per framed best response
     games: list  # the duel and prospect of each ``pt.framed_game`` build
     evaluators: list  # the opponent fraction of each evaluator set built
+    reads: Counter  # reads of each evaluator: "utility", "slope", "curvature"
+    roots: list  # the reads of each ``solver._bracketed_root`` search
 
 
 def count_framed_work(monkeypatch) -> FramedWork:
     """Count the framed work of every solve and ``grid_best_response`` call.
 
     Patches ``solver._framed_response``, which every framed best response
-    goes through, and ``pt.framed_game``, whose games build the evaluator
-    sets.  Evaluator sets beyond the responses score a final profile.
+    goes through, ``pt.framed_game``, whose games build the evaluator
+    sets and whose evaluators it counts read by read, and
+    ``solver._bracketed_root``.  Evaluator sets beyond the responses score
+    a final profile.
     """
-    work = FramedWork([], [], [])
-    respond, build = solver._framed_response, pt.framed_game
+    work = FramedWork([], [], [], Counter(), [])
+    respond, build, root = solver._framed_response, pt.framed_game, solver._bracketed_root
 
     def counted_response(game, a_opp):
         work.responses.append((game, a_opp))
         return respond(game, a_opp)
+
+    def counted(name, evaluator):
+        def read(a):
+            work.reads[name] += 1
+            return evaluator(a)
+
+        return read
 
     def counted_game(*args):
         work.games.append(args)
@@ -406,12 +418,23 @@ def count_framed_work(monkeypatch) -> FramedWork:
 
         def counted_evaluators(a2):
             work.evaluators.append(a2)
-            return evaluators(a2)
+            *closures, cuts = evaluators(a2)
+            return (*map(counted, ("utility", "slope", "curvature"), closures), cuts)
 
         return counted_evaluators
 
+    def counted_root(f, *bracket):
+        work.roots.append(0)
+
+        def read(a):
+            work.roots[-1] += 1
+            return f(a)
+
+        return root(read, *bracket)
+
     monkeypatch.setattr(solver, "_framed_response", counted_response)
     monkeypatch.setattr(pt, "framed_game", counted_game)
+    monkeypatch.setattr(solver, "_bracketed_root", counted_root)
     return work
 
 

@@ -456,15 +456,27 @@ def test_battery_framed_best_response_budget(monkeypatch):
     # bisected on coverage).  A framed player's reported utility comes from
     # the record where it answered the final profile: 100 sweep and 4
     # covering-price evaluator sets score the rest (401 and 184 before).
+    # The responses read the curvature on the turning piece alone (5,972
+    # sweep and 1,160 covering-price reads when every piece was searched),
+    # and no root search crawls (13,123 and 2,413 slope reads, and up to 55
+    # and 58 reads a search, with plain Illinois steps).
     work = count_framed_work(monkeypatch)
     _battery_sweeps()
     assert len(work.responses) <= 1095
     assert len(work.evaluators) - len(work.responses) <= 100
+    assert work.reads["slope"] <= 11_787
+    assert work.reads["curvature"] <= 1_411
+    assert work.reads["utility"] <= 3_272
+    assert max(work.roots) <= 30
     for counts in work:
         counts.clear()
     _battery_coverage()
     assert len(work.responses) <= 214
     assert len(work.evaluators) - len(work.responses) <= 4
+    assert work.reads["slope"] <= 2_354
+    assert work.reads["curvature"] <= 133
+    assert work.reads["utility"] <= 565
+    assert max(work.roots) <= 30
 
 
 def test_battery_framed_utilities_are_the_closed_form(monkeypatch):

@@ -645,25 +645,25 @@ def _best_response_cases():
     yield from _single_rows()
 
 
-# Framed best responses pinned bit for bit, as float.hex, from the code
-# before each response built its evaluators once.  Keyed by (branch cell,
+# Framed best responses pinned bit for bit, as float.hex, from the root
+# finder with Brent's safeguards against a crawl.  Keyed by (branch cell,
 # draw of ``_cell_draws``, ``EXPONENTS`` index): the answers against the
 # drawn, an idle and a full opponent.  The draws are mostly ones with an
 # interior answer, where a changed evaluator would show.
 PINNED_DRAW_RESPONSES = {
-    ("AllGain", 0, 0): ("0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.e2e94004662fcp-1"),
-    ("AllGain", 0, 3): ("0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.d7b4906de7da4p-1"),
+    ("AllGain", 0, 0): ("0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.e2e94004662eep-1"),
+    ("AllGain", 0, 3): ("0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.d7b4906de7db8p-1"),
     ("AllGain", 1, 0): ("0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0"),
-    ("Mixed", 1, 0): ("0x1.3652e463e4d5ap-1", "0x1.0000000000000p+0", "0x1.0eb7b7f674618p-1"),
-    ("Mixed", 1, 1): ("0x1.28efcc95f96dap-1", "0x1.0000000000000p+0", "0x1.d68317f66afd4p-2"),
-    ("Mixed", 5, 3): ("0x1.c541de41ed40ap-1", "0x1.0000000000000p+0", "0x1.c4fbd58590dd8p-1"),
-    ("AllLoss", 2, 0): ("0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.ca70379354b4ep-1"),
-    ("AllLoss", 2, 1): ("0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.c09a76a2fb94ap-1"),
+    ("Mixed", 1, 0): ("0x1.3652e463e4d48p-1", "0x1.0000000000000p+0", "0x1.0eb7b7f67462ap-1"),
+    ("Mixed", 1, 1): ("0x1.28efcc95f96c6p-1", "0x1.0000000000000p+0", "0x1.d68317f66b026p-2"),
+    ("Mixed", 5, 3): ("0x1.c541de41ed41ep-1", "0x1.0000000000000p+0", "0x1.c4fbd58590dc2p-1"),
+    ("AllLoss", 2, 0): ("0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.ca70379354b3cp-1"),
+    ("AllLoss", 2, 1): ("0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.c09a76a2fb95ep-1"),
     ("AllLoss", 0, 0): ("0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0"),
 }
 # The narrow peak, the maximum past the contested boundary and no
 # surplus: rows 0, 1 and 4 of ``_single_rows``.
-PINNED_ROW_RESPONSES = {0: "0x1.f94f7be60a98fp-1", 1: "0x1.4a3764e2a7000p-1", 4: "0x0.0p+0"}
+PINNED_ROW_RESPONSES = {0: "0x1.f94f7be60a980p-1", 1: "0x1.4a3764e2a6feap-1", 4: "0x0.0p+0"}
 
 
 def test_framed_best_responses_are_pinned_bit_for_bit():
@@ -761,6 +761,62 @@ def test_root_finder_takes_a_bracket_in_either_direction():
             assert rising == falling, (s, opp, lo, hi)
             rising_roots += 1
     assert rising_roots > 0
+
+
+def _root_reads(f, lo, hi):
+    """``solver._bracketed_root`` of ``f`` on [lo, hi], and how many reads it took."""
+    reads = []
+
+    def read(a):
+        reads.append(a)
+        return f(a)
+
+    return solver._bracketed_root(read, lo, hi, f(lo), f(hi)), len(reads)
+
+
+@pytest.mark.parametrize(
+    ("f", "lo", "hi", "most_reads"),
+    [
+        # The false-position step rounds onto the end that reads 1e-16
+        # (plain Illinois steps bisect toward it: 46 reads).
+        pytest.param(
+            lambda a: 1e-16 - 4.0 * (0.75 - a) - 4.0 * (0.75 - a) ** 2, 0.25, 0.75, 1, id="tiny-end"
+        ),
+        # A singular end reads 6.6e10 against -8, as the curvature does
+        # next to a curved reference (halving its weight: 58 reads).
+        pytest.param(lambda a: 5.0 * (1.0 - a) ** -1.12 - 13.0, 0.0, 1.0 - 2.0**-30, 14, id="singular-end"),
+        # A slope that runs flat into the end reading 1e-16, as near a
+        # double root, with the sign change 5.8e-9 inside it (43 reads;
+        # one bisection after every three stalled steps runs out of steps).
+        pytest.param(lambda a: 1e-16 - 3.0 * (1.0 - a) ** 2, 0.0, 1.0, 41, id="flat-end"),
+    ],
+)
+def test_root_finder_does_not_crawl(f, lo, hi, most_reads):
+    half = 0.5 * solver._ROOT_XTOL
+    for sign in (1.0, -1.0):
+        root, reads = _root_reads(lambda a: sign * f(a), lo, hi)
+        assert f(root - half) < 0.0 < f(root + half), (sign, root)
+        assert reads <= most_reads, (sign, reads)
+
+
+def test_only_the_turning_piece_can_hide_a_maximum():
+    # The pt docstring's argument, sampled: on every piece but the turning
+    # one, the curvature never reads - at the lower probe and + at the
+    # upper, so the best response searches no other piece for a turn.
+    rng = random.Random("turning-piece")
+    pieces = turning = turns = 0
+    for _ in range(3000):
+        s = random_scenario(rng, framed=True)
+        game = pt.framed_game(*s.duel(0), s.prospect[0])
+        for opp in (0.25, 0.5, 0.75, 1.0):
+            _, _, curvature, cuts = game(opp)
+            bounds = [0.0, *cuts, 1.0]
+            for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+                inset = (hi - lo) * 2.0**-30
+                turn = curvature(lo + inset) < 0.0 < curvature(hi - inset)
+                assert turn <= (i == cuts.turning), (s, opp, i)
+                pieces, turning, turns = pieces + 1, turning + (i == cuts.turning), turns + turn
+    assert turns > 0 and pieces > 10 * turning
 
 
 def test_best_response_refuses_a_utility_that_is_not_finite():
