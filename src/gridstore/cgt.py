@@ -17,16 +17,6 @@ from typing import Literal
 
 from .model import Scenario, StrategyProfile
 
-__all__ = [
-    "BestResponseCase",
-    "EquilibriumResult",
-    "expected_utility_cgt",
-    "best_response_cgt",
-    "bne_candidates",
-    "enumerate_bne",
-    "verify_bne",
-]
-
 CaseId = Literal["BelowLoadStoreAll", "InteriorOptimum", "PriceDominatedStoreAll"]
 
 # Snap tolerance for best responses that float error pushes out of [0, 1].

@@ -36,8 +36,6 @@ from .errors import (
 )
 from .model import Scenario, StrategyProfile, scenario_from_dict, scenario_checks, validate_scenario
 
-__all__ = ["run", "main"]
-
 _SWEEP_PARAMS = {
     "reference-point": "reference_point",
     "emergency-price": "emergency_price",
@@ -197,7 +195,7 @@ def _cmd_solve_pt(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from .experiments import SweepSpec, run_sweep, write_sweep_csv
 
-    s = validate_scenario(_scenario_from_args(args))
+    s = _scenario_from_args(args)  # each family validates the scenarios it solves
     kind = _SWEEP_PARAMS[args.param]
     grid = _inclusive_grid(args.from_, args.to, args.step)
     values = grid

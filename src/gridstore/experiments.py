@@ -42,25 +42,6 @@ from .model import (
 )
 from .solver import iterate_best_response
 
-__all__ = [
-    "CSV_COLUMNS",
-    "SWEPT_PARAMETERS",
-    "PRICE_STEP",
-    "SweepSpec",
-    "SweepRow",
-    "EmergencyPriceRow",
-    "RequiredPriceRow",
-    "default_scenario",
-    "sweep_reference_point",
-    "sweep_emergency_price",
-    "max_deviation_by_price",
-    "required_emergency_price",
-    "asymmetric_equilibrium",
-    "run_sweep",
-    "write_sweep_csv",
-    "write_required_price_csv",
-]
-
 SWEPT_PARAMETERS = (
     "reference_point",
     "emergency_price",
@@ -465,8 +446,6 @@ def _fmt(x) -> str:
         return ""
     if isinstance(x, bool):
         return "true" if x else "false"
-    if isinstance(x, int):
-        return str(x)
     if isinstance(x, float):
         return f"{x:.9g}"
     return str(x)

@@ -18,22 +18,6 @@ from typing import Sequence
 
 from .errors import InvalidScenario, MissingProspectParams, NotTwoPlayer
 
-__all__ = [
-    "GridParams",
-    "MicrogridConfig",
-    "ProspectParams",
-    "StrategyProfile",
-    "Scenario",
-    "Check",
-    "scenario_checks",
-    "violations",
-    "validate_scenario",
-    "scenario_from_dict",
-    "load_scenario",
-    "purchased_energy",
-    "realized_utility",
-]
-
 
 # ---------------------------------------------------------------------------
 # configuration dataclasses
@@ -85,24 +69,14 @@ class ProspectParams:
     beta_minus: float
 
 
-@dataclass(frozen=True)
-class StrategyProfile:
-    """Storage fractions, one per player, each in [0, 1]."""
+class StrategyProfile(tuple):
+    """Storage fractions, one float per player, each in [0, 1]."""
 
-    alpha: tuple[float, ...]
+    __slots__ = ()
 
     @classmethod
     def of(cls, *alphas: float) -> "StrategyProfile":
-        return cls(tuple(float(a) for a in alphas))
-
-    def __getitem__(self, i: int) -> float:
-        return self.alpha[i]
-
-    def __len__(self) -> int:
-        return len(self.alpha)
-
-    def __iter__(self):
-        return iter(self.alpha)
+        return cls(float(a) for a in alphas)
 
 
 @dataclass(frozen=True)
@@ -302,12 +276,6 @@ def load_scenario(path: str | Path) -> Scenario:
 # ---------------------------------------------------------------------------
 
 
-def _alphas(profile) -> tuple[float, ...]:
-    if isinstance(profile, StrategyProfile):
-        return profile.alpha
-    return tuple(float(a) for a in profile)
-
-
 def purchased_energy(
     profile: StrategyProfile, surpluses: Sequence[float], grid: GridParams
 ) -> tuple[float, ...]:
@@ -317,16 +285,15 @@ def purchased_energy(
     all of their stored energy; otherwise each purchase is reduced by an
     equal 1/N share of the excess and floored at zero.
     """
-    alpha = _alphas(profile)
-    if len(alpha) != len(surpluses):
+    if len(profile) != len(surpluses):
         raise ValueError(
-            f"profile has {len(alpha)} entries but {len(surpluses)} surpluses given"
+            f"profile has {len(profile)} entries but {len(surpluses)} surpluses given"
         )
-    stored = tuple(a * float(q) for a, q in zip(alpha, surpluses))
+    stored = tuple(a * float(q) for a, q in zip(profile, surpluses))
     total = sum(stored)
     if total <= grid.l_c:
         return stored
-    cut = (total - grid.l_c) / len(alpha)
+    cut = (total - grid.l_c) / len(profile)
     return tuple(max(x - cut, 0.0) for x in stored)
 
 
@@ -337,8 +304,7 @@ def realized_utility(
     grid: GridParams,
 ) -> float:
     """Ex-post revenue of ``player``: immediate sales plus emergency buyback."""
-    alpha = _alphas(profile)
     q = float(surpluses[player])
-    sold = grid.rho * q * (1.0 - alpha[player])
+    sold = grid.rho * q * (1.0 - profile[player])
     bought = purchased_energy(profile, surpluses, grid)[player]
     return sold + grid.theta * grid.rho_c * bought

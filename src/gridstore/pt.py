@@ -42,12 +42,6 @@ import math
 
 from .model import ProspectParams, Scenario, StrategyProfile
 
-__all__ = [
-    "ProspectParams",
-    "pt_value",
-    "expected_pt_utility",
-]
-
 
 def pt_value(u: float, p: ProspectParams) -> float:
     """Framed value of a realized utility: 0 at the reference point."""

@@ -26,15 +26,6 @@ from typing import Callable
 from . import cgt, pt
 from .model import Scenario, StrategyProfile, realized_utility
 
-__all__ = [
-    "TOL",
-    "MAX_ROUNDS",
-    "QUAD_REL_TOL",
-    "quadrature_expected_utility",
-    "grid_best_response",
-    "iterate_best_response",
-]
-
 TOL = 1e-12
 MAX_ROUNDS = 200
 QUAD_REL_TOL = 1e-10
@@ -212,6 +203,11 @@ def _framed_response(game: Callable, a_opp: float) -> tuple[float, float]:
 Profile = tuple[float, float]
 
 
+def _secant_root(x0: float, x1: float, d1: float, d2: float) -> float:
+    """Root of the line through (x0, d1) and (x1, d2), two steps F(x) - x of a map."""
+    return x1 - d2 * (x1 - x0) / (d2 - d1)
+
+
 def _steffensen(
     step: Callable[[Profile], tuple[Profile, float]],
     a: Profile,
@@ -224,10 +220,12 @@ def _steffensen(
     2's last three fractions take shrinking steps (any under ``_SETTLING``
     counts), the next step starts from their Aitken limit, Steffensen's
     method, if it lies in [0, 1] (clipped, it could restart the run) and
-    ``keep``, when given, allows it; after two limits, from the secant
-    root of a shrinking step and the one before.  Three that do not shrink
-    end the run with None under ``stop_unless_shrinking``.  Returns the
-    last profile, its update and the number of steps, at most ``MAX_ROUNDS``.
+    ``keep``, when given, allows it; after two limits, from that of a
+    shrinking step and the one before.  Aitken's limit of three fractions
+    is the secant root of F(x) - x through their two steps, so both take
+    ``_secant_root``.  Three that do not shrink end the run with None
+    under ``stop_unless_shrinking``.  Returns the last profile, its update
+    and the number of steps, at most ``MAX_ROUNDS``.
     """
     xs, steps, delta, limits, before = [a[1]], 0, math.inf, 0, None
     while delta > TOL and steps < MAX_ROUNDS:
@@ -242,7 +240,7 @@ def _steffensen(
             if stop_unless_shrinking and len(xs) == 3:
                 return None
         elif d1 != d2:
-            limit = x1 - d2 * (x1 - x0) / (d2 - d1) if len(xs) == 2 else xs[2] + d2 * d2 / (d1 - d2)
+            limit = _secant_root(x0, x1, d1, d2)
             if 0.0 <= limit <= 1.0 and (keep is None or keep(a, limit)):
                 limits, before = limits + 1, (x1, d2)
                 a, xs = (a[0], limit), [limit]
@@ -255,16 +253,16 @@ def _rounds_stop_short(br: Callable[[float], float], x0: float, x_sym: float) ->
     ``x_sym`` is the fixed point of ``br``, the one best response of a
     symmetric game.  A round maps player 2's fraction by BR(BR(x)), which
     keeps order where BR falls, so rounds move one way and stop at the
-    first fixed point of BR(BR(x)) on their way to ``x_sym``.  They stop
-    short when the Aitken limit of their first three fractions does and
-    BR(BR(x)) - x has turned just past that limit.
+    first fixed point of BR(BR(x)) on their way to ``x_sym``.  They stop short
+    when the Aitken limit (``_secant_root``) of their first three fractions
+    does and BR(BR(x)) - x has turned just past that limit.
     """
     x2 = br(br(x0))
     x4 = br(br(x2))
     e1, e2 = x2 - x0, x4 - x2
     if e1 == 0.0 or not 0.0 <= e2 / e1 < 1.0:
         return False
-    stop = x4 + e2 * e2 / (e1 - e2)
+    stop = _secant_root(x0, x2, e1, e2)
     past = 2.0 * stop - x4
     if (past - x_sym) * e1 >= 0.0:
         past = 0.5 * (stop + x_sym)

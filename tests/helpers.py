@@ -12,7 +12,7 @@ import numpy as np
 
 from gridstore.cgt import best_response_cgt
 from gridstore.errors import NoCoveragePrice, NotConverged
-from gridstore.experiments import PRICE_STEP
+from gridstore.experiments import PRICE_STEP, default_scenario
 from gridstore.model import (
     GridParams,
     MicrogridConfig,
@@ -49,6 +49,14 @@ def benchmark_scenario(
 def framed_benchmark(reference: float = 11.5, lam: float = 2.25) -> Scenario:
     p = replace(BENCH_PROSPECT, r=reference, lam=lam)
     return benchmark_scenario(prospect=(p, p))
+
+
+def priced_game(reference: float, lam: float, rho_c: float, mixed: bool = False) -> Scenario:
+    """The default scenario at one reference, loss aversion and emergency
+    price; ``mixed`` leaves player 2 rational."""
+    s = default_scenario(reference=reference, lam=lam)
+    s = replace(s, grid=replace(s.grid, rho_c=rho_c))
+    return replace(s, prospect=(s.prospect[0], None)) if mixed else s
 
 
 def random_scenario(rng: random.Random, framed: bool = False) -> Scenario:

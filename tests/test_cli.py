@@ -12,7 +12,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gridstore import NotTwoPlayer, scenario_from_dict
+from gridstore import (
+    NotTwoPlayer, SweepSpec, scenario_from_dict, sweep_emergency_price, write_sweep_csv,
+)
 from gridstore.cli import run
 from gridstore import solver
 
@@ -271,6 +273,28 @@ def test_sweep_reference_point_rejects_values_flag(tmp_path):
         ]
     )
     assert code == 2
+
+
+def test_emergency_price_sweep_validates_the_swept_prices_not_the_configs(tmp_path, capsys):
+    # The config's own rho_c = 5 breaks the incentive condition, but an
+    # emergency-price sweep replaces it with each swept price.
+    override = ["--config", CONFIG, "--override", "grid.rho_c=5"]
+    grid = ["--from", "11.5", "--to", "12", "--step", "0.5"]
+    out = tmp_path / "prices.csv"
+    args = ["sweep", *override, "--param", "emergency-price", "--values", "11,12", *grid]
+    assert run([*args, "--out", str(out)]) == 0
+    assert capsys.readouterr().out.strip() == str(out)
+    data = json.loads(Path(CONFIG).read_text())
+    data["grid"]["rho_c"] = 5
+    spec = SweepSpec(scenario_from_dict(data), "emergency_price", (11.0, 12.0), (11.5, 12.0))
+    rows = sweep_emergency_price(spec)
+    assert len(rows) == 4
+    assert out.read_bytes() == write_sweep_csv(rows, tmp_path / "library.csv").read_bytes()
+    # A reference-point sweep solves the config's own price, so it is refused.
+    args = ["sweep", *override, "--param", "reference-point", *grid]
+    assert run([*args, "--out", str(tmp_path / "refs.csv")]) == 3
+    assert "IncentiveViolation" in capsys.readouterr().err
+    assert not (tmp_path / "refs.csv").exists()
 
 
 def test_find_price_writes_star_column(tmp_path, capsys):

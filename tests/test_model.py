@@ -69,6 +69,13 @@ def test_purchased_energy_splits_excess_equally():
     assert tuple(bought) == (140.0, 60.0)
 
 
+def test_a_profile_is_a_tuple_of_floats():
+    profile = StrategyProfile.of(1, 0.5)
+    assert isinstance(profile, tuple)
+    assert profile == (1.0, 0.5)
+    assert [type(a) for a in profile] == [float, float]
+
+
 def test_realized_utility_store_all_uncontested():
     s = benchmark_scenario()
     u = realized_utility(0, StrategyProfile.of(1.0, 0.0), (120.0, 120.0), s.grid)
@@ -112,6 +119,7 @@ def allocation_cases(draw):
 def test_allocation_bounded_by_stored_energy(case):
     grid, q, alpha = case
     bought = purchased_energy(alpha, q, grid)
+    assert purchased_energy(StrategyProfile.of(*alpha), q, grid) == bought
     for n in range(len(q)):
         assert -1e-12 <= bought[n] <= alpha[n] * q[n] + 1e-12
 
@@ -128,6 +136,7 @@ def test_allocation_exhausts_load_when_unclamped(case):
     if any(s < cut for s in stored):
         return  # a clamp binds; the equal-cut identity no longer applies
     bought = purchased_energy(alpha, q, grid)
+    assert purchased_energy(StrategyProfile.of(*alpha), q, grid) == bought
     assert sum(bought) == pytest.approx(grid.l_c, rel=1e-9, abs=1e-9)
 
 
@@ -147,6 +156,7 @@ def test_realized_utility_continuous_at_load_boundary(case, a1):
         return
     at = (a1,) + tuple(a * scale for a in alpha[1:])
     u = realized_utility(0, at, q, grid)
+    assert realized_utility(0, StrategyProfile.of(*at), q, grid) == u
     untrimmed = grid.rho * q[0] * (1 - a1) + grid.theta * grid.rho_c * a1 * q[0]
     assert u == pytest.approx(untrimmed, rel=1e-9)
 
@@ -157,6 +167,7 @@ def test_zero_storage_utility_is_price_times_surplus(case):
     grid, q, alpha = case
     profile = (0.0,) + alpha[1:]
     u = realized_utility(0, profile, q, grid)
+    assert realized_utility(0, StrategyProfile.of(*profile), q, grid) == u
     assert u == pytest.approx(grid.rho * q[0], rel=1e-12)
 
 

@@ -47,6 +47,7 @@ from helpers import (
     framed_benchmark,
     framed_region_draw,
     plain_rounds,
+    priced_game,
     random_scenario,
 )
 
@@ -178,6 +179,18 @@ def test_every_public_function_is_exported_or_used_by_the_package():
     # A public function that only tests or the benchmark call is a wrapper
     # to fold into its callers.
     assert _unused_functions(Path(gridstore.__file__).resolve().parent) == []
+
+
+def test_only_the_package_declares_a_public_surface():
+    # ``gridstore._EXPORTS`` is the one list of public names; a module's own
+    # ``__all__`` would be a second copy for it to drift from.
+    declared = []
+    for path in sorted(Path(gridstore.__file__).resolve().parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            targets = getattr(node, "targets", None) or [getattr(node, "target", None)]
+            if any(getattr(t, "id", None) == "__all__" for t in targets):
+                declared.append(path.stem)
+    assert declared == ["__init__"]
 
 
 def test_every_private_function_is_used_by_the_package():
@@ -443,14 +456,6 @@ def test_iteration_converges_where_an_extrapolated_limit_leaves_the_unit_interva
     assert mutual_residual(s, res.profile) <= 1e-10
 
 
-def _game(reference: float, lam: float, rho_c: float, mixed: bool = False) -> Scenario:
-    """The default scenario at one reference, loss aversion and emergency
-    price; ``mixed`` leaves player 2 rational."""
-    s = default_scenario(reference=reference, lam=lam)
-    s = replace(s, grid=replace(s.grid, rho_c=rho_c))
-    return replace(s, prospect=(s.prospect[0], None)) if mixed else s
-
-
 CRAWL_ROW = (8.25, 1.0, 11.16)  # best-response slope -0.9989 to -1.0008 over [0.8, 0.9]
 FLIP_BAND_ROWS = [(r, 2.25, 11.6) for r in (13.335, 13.345, CAP_BAND_REFERENCE)]
 # Symmetric rows where an extrapolated step once left the equilibrium that
@@ -494,7 +499,7 @@ def test_iteration_selects_what_plain_rounds_reach(reference, lam, rho_c, mixed)
     # The selection rule is alternating rounds from (1, 1); the solver may
     # reach their equilibrium faster, never another one.  The profile is
     # compared in player order, so a mirrored one-sided equilibrium fails.
-    s = _game(reference, lam, rho_c, mixed)
+    s = priced_game(reference, lam, rho_c, mixed)
     res = iterate_best_response(s)
     reference_profile, settled = plain_rounds(s)
     if settled:
@@ -514,7 +519,7 @@ def test_iteration_response_budget(row, per_player, monkeypatch):
     # answer by one map here and share its responses, so a budget of n
     # responses a player allows 2n in all.
     calls = count_framed_work(monkeypatch).responses
-    s = _game(*row)
+    s = priced_game(*row)
     res = iterate_best_response(s)
     assert res.converged and res.residual <= TOL
     assert mutual_residual(s, res.profile) <= 1e-10
@@ -527,7 +532,7 @@ def test_mixed_game_bottleneck_reports_no_other_equilibrium():
     # near 0.798), so no extrapolation applies and the solve stops at the
     # round cap.  Plain rounds settle on (1.0, 0.66268...) after 274.  The
     # solve may stay unconverged, but must not report another profile.
-    s = _game(22.367499079434737, 2.25, 11.09148149472901, mixed=True)
+    s = priced_game(22.367499079434737, 2.25, 11.09148149472901, mixed=True)
     reference_profile, settled = plain_rounds(s, rounds=3_000)
     assert settled and reference_profile[0] == 1.0
     assert reference_profile[1] == pytest.approx(0.66268, abs=1e-5)
@@ -693,7 +698,8 @@ def _solve_draws(n: int, seed: str):
     rng = random.Random(seed)
     for i in range(n):
         if i % 3 == 0:
-            yield _game(rng.uniform(5.0, 16.0), rng.uniform(1.0, 4.0), rng.uniform(10.2, 14.0))
+            r, lam, rho_c = rng.uniform(5.0, 16.0), rng.uniform(1.0, 4.0), rng.uniform(10.2, 14.0)
+            yield priced_game(r, lam, rho_c)
             continue
         s = random_scenario(rng, framed=True)
         other = None if i % 3 == 2 else replace(s.prospect[0], r=s.prospect[0].r * rng.uniform(0.8, 1.2))
