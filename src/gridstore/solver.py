@@ -6,11 +6,10 @@ the closed forms it is used to check.  Only tests and the benchmark call
 it, so it imports ``scipy.integrate`` (the ``test`` extra) on its first
 call rather than with this module.  The framed best response takes the
 roots of the closed form's analytic slope, in the ``pt.framed_game`` a
-solve builds once.  The iteration solver takes the fixed point of best
-responses by Steffensen's method: a symmetric game iterates its one
-best-response map, any other game alternating rounds; framed utilities
-come from the record of scored responses.  All but the oracle runs on
-plain floats.
+solve builds once.  The iteration solver takes Steffensen steps on a map
+of player 2's fraction, a symmetric game's one best response or else a
+round of both; framed utilities come from the record of scored
+responses.  All but the oracle runs on plain floats.
 
 The numerics are fixed: a 1e-12 fixed-point tolerance (``TOL``), a
 200-round guard (``MAX_ROUNDS``) and a 1e-10 relative quadrature
@@ -20,7 +19,6 @@ tolerance (``QUAD_REL_TOL``).
 from __future__ import annotations
 
 import math
-from functools import partial
 from typing import Callable
 
 from . import cgt, pt
@@ -200,8 +198,6 @@ def _framed_response(game: Callable, a_opp: float) -> tuple[float, float]:
 # best-response iteration
 # ---------------------------------------------------------------------------
 
-Profile = tuple[float, float]
-
 
 def _secant_root(x0: float, x1: float, d1: float, d2: float) -> float:
     """Root of the line through (x0, d1) and (x1, d2), two steps F(x) - x of a map."""
@@ -209,56 +205,58 @@ def _secant_root(x0: float, x1: float, d1: float, d2: float) -> float:
 
 
 def _steffensen(
-    step: Callable[[Profile], tuple[Profile, float]],
-    a: Profile,
-    keep: Callable[[Profile, float], bool] | None = None,
+    step: Callable[[float, float], tuple[float, float, float]],
+    start: tuple[float, float],
+    keep: Callable[[float, float, float], bool] | None = None,
     stop_unless_shrinking: bool = False,
-) -> tuple[Profile, float, int] | None:
-    """Apply ``step`` from ``a`` until it moves the profile by at most ``TOL``.
+) -> tuple[float, float, float, int] | None:
+    """Apply ``step`` from ``start`` until it moves no fraction by more than ``TOL``.
 
-    ``step`` returns the next profile and its largest update.  Once player
-    2's last three fractions take shrinking steps (any under ``_SETTLING``
-    counts), the next step starts from their Aitken limit, Steffensen's
-    method, if it lies in [0, 1] (clipped, it could restart the run) and
-    ``keep``, when given, allows it; after two limits, from that of a
-    shrinking step and the one before.  Aitken's limit of three fractions
-    is the secant root of F(x) - x through their two steps, so both take
-    ``_secant_root``.  Three that do not shrink end the run with None
-    under ``stop_unless_shrinking``.  Returns the last profile, its update
-    and the number of steps, at most ``MAX_ROUNDS``.
+    ``step(p, x)`` returns player 1's fraction it computed, player 2's
+    next one and the largest update.  Once player 2's last three
+    fractions take shrinking steps (any under ``_SETTLING`` counts), the
+    next step starts from their Aitken limit, Steffensen's method, if it
+    lies in [0, 1] (clipped, it could restart the run) and
+    ``keep(p, x, limit)``, when given, allows it; after two limits, from
+    that of a shrinking step and the one before.  Aitken's limit of three
+    fractions is the secant root of F(x) - x through their two steps, so
+    both take ``_secant_root``.  Under ``stop_unless_shrinking`` three
+    that do not shrink, or a run still moving after ``MAX_ROUNDS`` steps,
+    end it with None.  Returns the last (p, x), its update and the steps.
     """
-    xs, steps, delta, limits, before = [a[1]], 0, math.inf, 0, None
+    (p, x), xs, steps, delta, limits, before = start, [start[1]], 0, math.inf, 0, None
     while delta > TOL and steps < MAX_ROUNDS:
-        (a, delta), steps = step(a), steps + 1
-        xs = [*xs[-2:], a[1]]
+        (p, x, delta), steps = step(p, x), steps + 1
+        xs = [*xs[-2:], x]
         if delta <= TOL or len(xs) == 2 and limits < 2:
             continue
         # The last two (x, F(x) - x): of three iterates, or one and the step before its limit.
         (x0, d1), x1 = (before, xs[0]) if len(xs) == 2 else ((xs[0], xs[1] - xs[0]), xs[1])
-        d2 = xs[-1] - x1
+        d2 = x - x1
         if abs(d2) >= abs(d1) > _SETTLING:
             if stop_unless_shrinking and len(xs) == 3:
                 return None
         elif d1 != d2:
             limit = _secant_root(x0, x1, d1, d2)
-            if 0.0 <= limit <= 1.0 and (keep is None or keep(a, limit)):
+            if 0.0 <= limit <= 1.0 and (keep is None or keep(p, x, limit)):
                 limits, before = limits + 1, (x1, d2)
-                a, xs = (a[0], limit), [limit]
-    return a, delta, steps
+                x, xs = limit, [limit]
+    return None if stop_unless_shrinking and delta > TOL else (p, x, delta, steps)
 
 
-def _rounds_stop_short(br: Callable[[float], float], x0: float, x_sym: float) -> bool:
-    """Whether rounds from player 2's fraction ``x0`` stop short of ``x_sym``.
+def _rounds_stop_short(play: Callable, x0: float, x_sym: float) -> bool:
+    """Whether rounds (``play``) from player 2's fraction ``x0`` stop short of ``x_sym``.
 
-    ``x_sym`` is the fixed point of ``br``, the one best response of a
-    symmetric game.  A round maps player 2's fraction by BR(BR(x)), which
-    keeps order where BR falls, so rounds move one way and stop at the
-    first fixed point of BR(BR(x)) on their way to ``x_sym``.  They stop short
-    when the Aitken limit (``_secant_root``) of their first three fractions
-    does and BR(BR(x)) - x has turned just past that limit.
+    ``x_sym`` is the fixed point of BR, the one best response of a
+    symmetric game.  A round maps player 2's fraction by BR(BR(x)),
+    whatever player 1's is, which keeps order where BR falls, so rounds
+    move one way and stop at the first fixed point of BR(BR(x)) on their
+    way to ``x_sym``.  They stop short when the Aitken limit
+    (``_secant_root``) of their first three fractions does and
+    BR(BR(x)) - x has turned just past that limit.
     """
-    x2 = br(br(x0))
-    x4 = br(br(x2))
+    x2 = play(x0, x0)[1]
+    x4 = play(x2, x2)[1]
     e1, e2 = x2 - x0, x4 - x2
     if e1 == 0.0 or not 0.0 <= e2 / e1 < 1.0:
         return False
@@ -266,7 +264,7 @@ def _rounds_stop_short(br: Callable[[float], float], x0: float, x_sym: float) ->
     past = 2.0 * stop - x4
     if (past - x_sym) * e1 >= 0.0:
         past = 0.5 * (stop + x_sym)
-    return (stop - x_sym) * e1 < 0.0 and (br(br(past)) - past) * e1 <= 0.0
+    return (stop - x_sym) * e1 < 0.0 and (play(past, past)[1] - past) * e1 <= 0.0
 
 
 def iterate_best_response(
@@ -278,10 +276,11 @@ def iterate_best_response(
     It selects the equilibrium that rounds from ``initial`` ((1, 1) by
     default) reach, player 0 responding first in each; framed players use
     the framed best response, the others the closed form, and a solve
-    reuses its framed responses.  Players framed alike (equal parameters
-    and sides) respond by one map BR, so rounds follow the orbit x, BR(x),
-    BR(BR(x)), ... of player 2's start: the solve iterates BR itself to
-    x* = BR(x*) and reports (x, BR(x)).  It restarts on rounds when BR's
+    reuses its framed responses.  Both solve paths are maps of player 2's
+    fraction.  Players framed alike (equal parameters and sides) respond
+    by one map BR, so rounds follow the orbit x, BR(x), BR(BR(x)), ... of
+    player 2's start: the solve iterates BR itself to x* = BR(x*) and
+    reports (x, BR(x)).  It restarts on rounds, x -> BR(BR(x)), when BR's
     steps stop shrinking (a 2-cycle lies ahead) or when rounds stop short
     of x* (``_rounds_stop_short``); any other game iterates rounds.  Both
     take ``_steffensen`` steps; symmetric rounds skip any that would carry
@@ -311,23 +310,23 @@ def iterate_best_response(
             responses[p][a_opp] = _framed_response(games[p], a_opp)
         return responses[p][a_opp][0]
 
-    def reflect(a: Profile) -> tuple[Profile, float]:
-        b = respond(1, a[1])
-        return (a[1], b), abs(b - a[1])
+    def reflect(p: float, x: float) -> tuple[float, float, float]:
+        b = respond(1, x)
+        return x, b, abs(b - x)
 
-    def play(a: Profile) -> tuple[Profile, float]:
-        a1 = respond(0, a[1])
-        nxt = (a1, respond(1, a1))
-        return nxt, max(abs(nxt[0] - a[0]), abs(nxt[1] - a[1]))
+    def play(p: float, x: float) -> tuple[float, float, float]:
+        p1 = respond(0, x)
+        x1 = respond(1, p1)
+        return p1, x1, max(abs(p1 - p), abs(x1 - x))
 
-    def same_side(a: Profile, limit: float) -> bool:
-        return (limit - respond(0, limit)) * (a[1] - a[0]) > 0.0
+    def same_side(p: float, x: float, limit: float) -> bool:
+        return (limit - respond(0, limit)) * (x - p) > 0.0
 
     start = (1.0, 1.0) if initial is None else (float(initial[0]), float(initial[1]))
     run = _steffensen(reflect, start, stop_unless_shrinking=True) if symmetric else None
-    if run and (run[1] > TOL or _rounds_stop_short(partial(respond, 1), start[1], run[0][1])):
+    if run and _rounds_stop_short(play, start[1], run[1]):
         run = None
-    a, delta, rounds = run or _steffensen(play, start, same_side if symmetric else None)
+    *a, delta, rounds = run or _steffensen(play, start, same_side if symmetric else None)
     profile = StrategyProfile.of(*a)
 
     def utility(p: int) -> float:  # a framed player's from the record when it answered there

@@ -5,8 +5,9 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import replace
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -184,9 +185,10 @@ def dense_framed_argmax(player: int, opp_alpha: float, s: Scenario, points: int 
     """Best own fraction of the mask-based reference: a dense scan, refined.
 
     Shares nothing with the solver's breakpoints or slope.  The scan's
-    best point and its two neighbours bracket a maximum, which a bounded
-    golden-section search of the same reference closes in on; the better
-    of the scanned and the refined point is returned.
+    best point and its two neighbours bracket a maximum; scans of 101
+    points close in on it, each keeping its best point's two neighbours,
+    until the bracket is 1e-15 wide.  The better of the first scan's and
+    the last refined point is returned.
     """
     q1, q2max, rho, k, lc = s.duel(player)
     pp = s.prospect[player]
@@ -194,22 +196,15 @@ def dense_framed_argmax(player: int, opp_alpha: float, s: Scenario, points: int 
     def utility(a):
         return expected_pt_utility_grid(a, opp_alpha, q1, q2max, rho, k, lc, pp)
 
-    grid = np.linspace(0.0, 1.0, points)
-    i = int(np.argmax(utility(grid)))
-    lo, hi = float(grid[max(i - 1, 0)]), float(grid[min(i + 1, points - 1)])
-    shrink = (np.sqrt(5.0) - 1.0) / 2.0
-    x1, x2 = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
-    u1, u2 = float(utility(x1)[0]), float(utility(x2)[0])
+    def bracket(grid: np.ndarray) -> tuple[float, float, float]:
+        i = int(np.argmax(utility(grid)))
+        return float(grid[i]), float(grid[max(i - 1, 0)]), float(grid[min(i + 1, len(grid) - 1)])
+
+    scanned, lo, hi = bracket(np.linspace(0.0, 1.0, points))
+    refined = scanned
     while hi - lo > 1e-15:
-        if u1 >= u2:
-            hi, x2, u2 = x2, x1, u1
-            x1 = hi - shrink * (hi - lo)
-            u1 = float(utility(x1)[0])
-        else:
-            lo, x1, u1 = x1, x2, u2
-            x2 = lo + shrink * (hi - lo)
-            u2 = float(utility(x2)[0])
-    return max((float(grid[i]), 0.5 * (lo + hi)), key=lambda a: float(utility(a)[0]))
+        refined, lo, hi = bracket(np.linspace(lo, hi, 101))
+    return max((scanned, refined), key=lambda a: float(utility(a)[0]))
 
 
 def random_profile(rng: random.Random) -> StrategyProfile:
@@ -397,17 +392,20 @@ class FramedWork(NamedTuple):
     roots: list  # the reads of each ``solver._bracketed_root`` search
 
 
-def count_framed_work(monkeypatch) -> FramedWork:
+@contextmanager
+def framed_work(solver_module=solver, pt_module=pt) -> Iterator[FramedWork]:
     """Count the framed work of every solve and ``grid_best_response`` call.
 
-    Patches ``solver._framed_response``, which every framed best response
-    goes through, ``pt.framed_game``, whose games build the evaluator
-    sets and whose evaluators it counts read by read, and
-    ``solver._bracketed_root``.  Evaluator sets beyond the responses score
-    a final profile.
+    Inside the block it patches ``solver_module._framed_response``, which
+    every framed best response goes through, ``pt_module.framed_game``,
+    whose games build the evaluator sets and whose evaluators it counts
+    read by read, and ``solver_module._bracketed_root``; the modules are
+    one package's, this one's by default.  Evaluator sets beyond the
+    responses score a final profile.
     """
     work = FramedWork([], [], [], Counter(), [])
-    respond, build, root = solver._framed_response, pt.framed_game, solver._bracketed_root
+    respond, root = solver_module._framed_response, solver_module._bracketed_root
+    build = pt_module.framed_game
 
     def counted_response(game, a_opp):
         work.responses.append((game, a_opp))
@@ -440,9 +438,22 @@ def count_framed_work(monkeypatch) -> FramedWork:
 
         return root(read, *bracket)
 
-    monkeypatch.setattr(solver, "_framed_response", counted_response)
-    monkeypatch.setattr(pt, "framed_game", counted_game)
-    monkeypatch.setattr(solver, "_bracketed_root", counted_root)
+    solver_module._framed_response, pt_module.framed_game = counted_response, counted_game
+    solver_module._bracketed_root = counted_root
+    try:
+        yield work
+    finally:
+        solver_module._framed_response, pt_module.framed_game = respond, build
+        solver_module._bracketed_root = root
+
+
+def count_framed_work(monkeypatch) -> FramedWork:
+    """``framed_work`` over this package, counting until the test ends."""
+    counted = ((solver, "_framed_response"), (pt, "framed_game"), (solver, "_bracketed_root"))
+    with framed_work() as work:
+        patches = [(module, name, getattr(module, name)) for module, name in counted]
+    for module, name, value in patches:
+        monkeypatch.setattr(module, name, value)
     return work
 
 

@@ -13,6 +13,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -36,7 +37,15 @@ from gridstore import (
 from gridstore import experiments, solver
 from gridstore.errors import NoCoveragePrice, NotConverged
 
-from helpers import count_framed_work, covering_kind, stride_bisect_covering_price
+from helpers import (
+    count_framed_work,
+    covering_kind,
+    dense_framed_argmax,
+    expected_pt_utility_grid,
+    expected_utility_grid_cgt,
+    plain_rounds,
+    stride_bisect_covering_price,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -479,7 +488,17 @@ def test_battery_framed_best_response_budget(monkeypatch):
     assert max(work.roots) <= 30
 
 
-def test_battery_framed_utilities_are_the_closed_form(monkeypatch):
+def _scores_no_lower(u_reported: float, u_dense: float) -> bool:
+    return u_reported >= u_dense - 1e-12 * max(1.0, abs(u_dense))
+
+
+def test_every_battery_solve_passes_checks_that_share_no_solver_code(monkeypatch):
+    # Each of the battery's 313 solves, against references that share no
+    # code with the solver: each framed player's fraction scores no lower
+    # than a dense argmax of the mask-based NumPy utility, each rational
+    # player's no lower than a dense scan of the NumPy closed form, and
+    # each reported framed utility is the closed form there.  The profile
+    # is the one plain alternating rounds from (1, 1) settle on.
     solves = []
 
     def solve(s):
@@ -490,10 +509,23 @@ def test_battery_framed_utilities_are_the_closed_form(monkeypatch):
     _battery_sweeps()
     _battery_coverage()
     assert len(solves) == 313
+    grid = np.linspace(0.0, 1.0, 2_001)
     for s, res in solves:
+        reference_profile, settled = plain_rounds(s, 3_000)
+        assert settled and res.converged, s
+        assert tuple(res.profile) == pytest.approx(reference_profile, abs=1e-8), s
         for p in (0, 1):
-            if s.prospect[p] is not None:
-                assert res.expected_utilities[p] == expected_pt_utility(p, res.profile, s), s
+            a_own, a_opp, pp = res.profile[p], res.profile[1 - p], s.prospect[p]
+            if pp is None:
+                scan = expected_utility_grid_cgt(grid, a_opp, *s.duel(p))
+                u = expected_utility_grid_cgt(a_own, a_opp, *s.duel(p))[0]
+                assert _scores_no_lower(u, scan.max()), (s, p)
+                assert abs(a_own - grid[scan.argmax()]) <= grid[1], (s, p)
+                continue
+            assert res.expected_utilities[p] == expected_pt_utility(p, res.profile, s), s
+            dense = dense_framed_argmax(p, a_opp, s, points=2_001)
+            u, u_dense = expected_pt_utility_grid([a_own, dense], a_opp, *s.duel(p), pp)
+            assert _scores_no_lower(u, u_dense), (s, p, a_own, dense)
 
 
 @pytest.mark.parametrize("price_hi", [1e15, 1e307, sys.float_info.max])

@@ -337,6 +337,23 @@ def test_iteration_framed_pair_benchmark_reference():
     assert res.profile[1] == 1.0
 
 
+def test_readme_python_examples_print_what_their_comments_say(capsys):
+    # Each ``print(...)`` line of a README Python block is followed by its
+    # output as a comment, on the same line or the next.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = [block.split("```")[0] for block in readme.split("```python\n")[1:]]
+    assert blocks
+    for block in blocks:
+        lines = block.splitlines()
+        expected = [
+            (line.partition("  # ")[2] or lines[i + 1].removeprefix("# ")).strip()
+            for i, line in enumerate(lines)
+            if line.startswith("print(")
+        ]
+        exec(compile(block, "README.md", "exec"), {})
+        assert capsys.readouterr().out.splitlines() == expected
+
+
 def test_iteration_framed_pair_high_reference():
     # A reference far above attainable utility puts both players deep in
     # the loss region, where hedging pulls storage toward 0.88.
@@ -507,6 +524,30 @@ def test_iteration_selects_what_plain_rounds_reach(reference, lam, rho_c, mixed)
         assert tuple(res.profile) == pytest.approx(reference_profile, abs=1e-8)
     else:
         assert not res.converged or mutual_residual(s, res.profile) <= 1e-10
+
+
+SELECTION_SOLVES = Path(__file__).resolve().parent / "data" / "selection_solves.json"
+
+
+def test_selection_rows_solve_bit_for_bit_as_pinned():
+    # The selection rows take every path of a solve: BR's run accepted,
+    # restarts on rounds after rounds that stop short and after steps that
+    # do not shrink, and rounds in mixed games.  The file pins each row's
+    # fractions and residual as ``float.hex``, ``iterations`` and
+    # ``converged``, so a change to any path that moves a bit shows here.
+    pinned = json.loads(SELECTION_SOLVES.read_text())
+    rows = _selection_rows()
+    assert [row.id for row in rows] == list(pinned)
+    for row in rows:
+        res = iterate_best_response(priced_game(*row.values))
+        solve = {
+            "alpha_1": res.profile[0].hex(),
+            "alpha_2": res.profile[1].hex(),
+            "residual": res.residual.hex(),
+            "iterations": res.iterations,
+            "converged": res.converged,
+        }
+        assert solve == pinned[row.id], row.id
 
 
 @pytest.mark.parametrize(
