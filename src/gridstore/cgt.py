@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Literal
 
-from .model import Scenario, StrategyProfile
+from .model import Scenario, StrategyProfile, validate_scenario
 
 CaseId = Literal["BelowLoadStoreAll", "InteriorOptimum", "PriceDominatedStoreAll"]
 
@@ -218,9 +218,10 @@ def enumerate_bne(s: Scenario) -> list[EquilibriumResult]:
     condition labels.  Survivors keep the condition ``bne_candidates``
     gives them.  Of survivors that coincide within ``_SNAP`` (at a
     threshold tie) the first that meets its condition is kept, else the first.
+    An invalid scenario raises ``InvalidScenario``.
     """
     results: list[EquilibriumResult] = []
-    for classification, profile, conditions in bne_candidates(s):
+    for classification, profile, conditions in bne_candidates(validate_scenario(s)):
         if not all(0.0 <= a <= 1.0 for a in profile):
             continue
         gaps = _best_response_gaps(profile, s, 1e-9)

@@ -124,8 +124,7 @@ _CGT_HEADER = (
 
 
 def _cmd_solve_cgt(args: argparse.Namespace) -> int:
-    s = validate_scenario(_scenario_from_args(args))
-    results = enumerate_bne(s)
+    results = enumerate_bne(_scenario_from_args(args))  # which validates the scenario
     require_finite(*(x for res in results for x in (*res.profile, *res.expected_utilities)))
     if not results:
         print("no closed-form equilibrium verified")

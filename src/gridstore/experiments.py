@@ -21,10 +21,9 @@ deterministic, so repeated runs produce byte-identical CSV files.
 from __future__ import annotations
 
 import csv
-import functools
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -189,7 +188,8 @@ class RequiredPriceRow(SweepRow):
 
 
 def _total_stored(profile: StrategyProfile, scenario: Scenario) -> float:
-    return sum(profile[p] * scenario.surpluses[p] for p in (0, 1))
+    (a1, a2), (m1, m2) = profile, scenario.microgrids
+    return 0.0 + a1 * m1.q + a2 * m2.q  # from 0, as ``sum`` adds: -0.0 totals 0.0
 
 
 def _row(
@@ -221,14 +221,25 @@ def _row(
     )
 
 
-def _variant(base: Scenario, rho_c: float | None = None, **framing: float) -> Scenario:
-    """``base`` with emergency price ``rho_c`` (when given) and ``framing``
-    (``r``, ``lam``) applied to every framed player; nothing else changes."""
-    grid = base.grid if rho_c is None else replace(base.grid, rho_c=rho_c)
-    prospect = base.prospect
-    if framing:
-        prospect = tuple(p if p is None else replace(p, **framing) for p in prospect)
-    return Scenario(grid, base.microgrids, prospect)
+def _variant(
+    base: Scenario, rho_c: float | None = None, r: float | None = None, lam: float | None = None
+) -> Scenario:
+    """``base`` with emergency price ``rho_c``, and reference ``r`` and loss
+    aversion ``lam`` for every framed player, each when given; nothing else
+    changes, and players that share one framing in ``base`` still do."""
+    g, (p1, p2) = base.grid, base.prospect
+    grid = g if rho_c is None else GridParams(g.rho, rho_c, g.theta, g.l_c)
+    if r is not None or lam is not None:
+
+        def frame(p: ProspectParams | None) -> ProspectParams | None:
+            if p is None:
+                return None
+            return ProspectParams(
+                p.r if r is None else r, p.lam if lam is None else lam, p.beta_plus, p.beta_minus
+            )
+
+        p1, p2 = (frame(p1),) * 2 if p2 is p1 else (frame(p1), frame(p2))
+    return Scenario(grid, base.microgrids, (p1, p2))
 
 
 def _expect_kind(spec: SweepSpec, kind: str) -> None:
@@ -347,8 +358,8 @@ def required_emergency_price(
     # Each loss-aversion level's scenario is built once and validated
     # with the reference (when given) applied before any solve, so a
     # non-finite reference or a lambda below 1 is refused.
-    framing = {} if reference is None else {"r": float(reference)}
-    scenarios = [validate_scenario(_variant(base, lam=lam, **framing)) for lam in lams]
+    r = None if reference is None else float(reference)
+    scenarios = [validate_scenario(_variant(base, r=r, lam=lam)) for lam in lams]
     if reference is None and len({p.r for p in framed}) > 1:
         shown = ", ".join(f"{p.r:g}" for p in framed)
         raise ValueError(f"framed players' reference points differ ({shown}); pass one reference")
@@ -368,9 +379,12 @@ def required_emergency_price(
     label = f"required_emergency_price:R={reference:g}"  # one string shared by the rows
 
     def search(lam: float, framed_base: Scenario) -> RequiredPriceRow:
-        @functools.cache  # the row reuses the solve at the covering price
-        def solve(rho_c: float) -> EquilibriumResult:
-            return iterate_best_response(_variant(framed_base, rho_c))
+        solved: dict[float, EquilibriumResult] = {}  # the row reuses the solve at the star
+
+        def solve(rho_c: float) -> EquilibriumResult:  # a dict: cheaper to set up than a cache
+            if rho_c not in solved:
+                solved[rho_c] = iterate_best_response(_variant(framed_base, rho_c))
+            return solved[rho_c]
 
         def price(i: int) -> float:
             return round(i * PRICE_STEP, 2)

@@ -139,78 +139,76 @@ class Check:
     detail: str
 
 
-def _positive(x: float) -> bool:
-    return x > 0 and math.isfinite(x)
+# Every construction invariant, written once.  Each kind of subject (the
+# grid, a microgrid, a framing) has one test, which returns whether each
+# of its rules holds, and a table of the rules' codes and details in the
+# same order.  A detail says what failed, after the subject's name; it
+# reads the subject as ``x`` and the grid as ``g``.
+def _grid_holds(x: GridParams, g: GridParams) -> tuple[bool, ...]:
+    return (g.rho > 0 and math.isfinite(g.rho), g.rho_c > 0 and math.isfinite(g.rho_c),
+            g.l_c > 0 and math.isfinite(g.l_c), 0.0 <= g.theta <= 1.0, g.emergency_value > g.rho)
+
+
+_GRID_DETAILS = (
+    ("BadPrice", "rho = {g.rho:g} must be finite and > 0"),
+    ("BadPrice", "rho_c = {g.rho_c:g} must be finite and > 0"),
+    ("BadCriticalLoad", "l_c = {g.l_c:g} must be finite and > 0"),
+    ("BadProbability", "theta = {g.theta:g} must lie in [0, 1]"),
+    ("IncentiveViolation", "theta*rho_c = {g.emergency_value:g} must exceed rho = {g.rho:g}"),
+)
+
+
+def _microgrid_holds(x: MicrogridConfig, g: GridParams) -> tuple[bool, ...]:
+    return x.q_max > 0, 0.0 <= x.q <= x.q_max, x.q_max < g.l_c
+
+
+_MICROGRID_DETAILS = (
+    ("BadCapacity", "q_max = {x.q_max:g} must be > 0"),
+    ("SurplusOutOfRange", "q = {x.q:g} must lie in [0, q_max = {x.q_max:g}]"),
+    ("CapacityExceedsCriticalLoad", "q_max = {x.q_max:g} must be < l_c = {g.l_c:g}"),
+)
+
+
+def _framing_holds(x: ProspectParams, g: GridParams) -> tuple[bool, ...]:
+    return (x.lam >= 1.0 and math.isfinite(x.lam), 0.0 < x.beta_plus <= 1.0,
+            0.0 < x.beta_minus <= 1.0, math.isfinite(x.r))
+
+
+_FRAMING_DETAILS = (
+    ("BadProspectParams", "lambda = {x.lam:g} must be finite and >= 1"),
+    ("BadProspectParams", "beta_plus = {x.beta_plus:g} must lie in (0, 1]"),
+    ("BadProspectParams", "beta_minus = {x.beta_minus:g} must lie in (0, 1]"),
+    ("BadProspectParams", "r = {x.r:g} must be finite"),
+)
+
+
+def _valid(s: Scenario) -> bool:
+    """Whether every invariant holds, building no ``Check``; a shared framing is tested once."""
+    g, (m1, m2), (p1, p2) = s.grid, s.microgrids, s.prospect
+    return (
+        all(_grid_holds(g, g))
+        and all(_microgrid_holds(m1, g))
+        and all(_microgrid_holds(m2, g))
+        and (p1 is None or all(_framing_holds(p1, g)))
+        and (p2 is None or p2 is p1 or all(_framing_holds(p2, g)))
+    )
 
 
 def scenario_checks(s: Scenario) -> list[Check]:
     """Evaluate every construction invariant, passing or not."""
     g = s.grid
-    out = [
-        Check("BadPrice", _positive(g.rho), f"rho = {g.rho:g} must be finite and > 0"),
-        Check("BadPrice", _positive(g.rho_c), f"rho_c = {g.rho_c:g} must be finite and > 0"),
-        Check("BadCriticalLoad", _positive(g.l_c), f"l_c = {g.l_c:g} must be finite and > 0"),
-        Check(
-            "BadProbability",
-            0.0 <= g.theta <= 1.0,
-            f"theta = {g.theta:g} must lie in [0, 1]",
-        ),
-        Check(
-            "IncentiveViolation",
-            g.emergency_value > g.rho,
-            f"theta*rho_c = {g.emergency_value:g} must exceed rho = {g.rho:g}",
-        ),
+    subjects = (
+        ("", (g,), _grid_holds, _GRID_DETAILS),
+        ("microgrids", s.microgrids, _microgrid_holds, _MICROGRID_DETAILS),
+        ("prospect", s.prospect, _framing_holds, _FRAMING_DETAILS),
+    )
+    return [
+        Check(code, ok, (f"{name}[{i}]." if name else "") + detail.format(x=x, g=g))
+        for name, entries, holds, details in subjects
+        for i, x in enumerate(entries)
+        if x is not None
+        for ok, (code, detail) in zip(holds(x, g), details)
     ]
-    for i, m in enumerate(s.microgrids):
-        out.append(
-            Check("BadCapacity", m.q_max > 0, f"microgrids[{i}].q_max = {m.q_max:g} must be > 0")
-        )
-        out.append(
-            Check(
-                "SurplusOutOfRange",
-                0.0 <= m.q <= m.q_max,
-                f"microgrids[{i}].q = {m.q:g} must lie in [0, q_max = {m.q_max:g}]",
-            )
-        )
-        out.append(
-            Check(
-                "CapacityExceedsCriticalLoad",
-                m.q_max < g.l_c,
-                f"microgrids[{i}].q_max = {m.q_max:g} must be < l_c = {g.l_c:g}",
-            )
-        )
-    for i, p in enumerate(s.prospect):
-        if p is None:
-            continue
-        out.append(
-            Check(
-                "BadProspectParams",
-                p.lam >= 1.0 and math.isfinite(p.lam),
-                f"prospect[{i}].lambda = {p.lam:g} must be finite and >= 1",
-            )
-        )
-        out.append(
-            Check(
-                "BadProspectParams",
-                0.0 < p.beta_plus <= 1.0,
-                f"prospect[{i}].beta_plus = {p.beta_plus:g} must lie in (0, 1]",
-            )
-        )
-        out.append(
-            Check(
-                "BadProspectParams",
-                0.0 < p.beta_minus <= 1.0,
-                f"prospect[{i}].beta_minus = {p.beta_minus:g} must lie in (0, 1]",
-            )
-        )
-        out.append(
-            Check(
-                "BadProspectParams",
-                math.isfinite(p.r),
-                f"prospect[{i}].r = {p.r:g} must be finite",
-            )
-        )
-    return out
 
 
 def violations(s: Scenario) -> list[Check]:
@@ -219,10 +217,13 @@ def violations(s: Scenario) -> list[Check]:
 
 
 def validate_scenario(s: Scenario) -> Scenario:
-    """Return ``s`` unchanged, or raise ``InvalidScenario`` listing every failure."""
-    bad = violations(s)
-    if bad:
-        raise InvalidScenario(bad)
+    """Return ``s`` unchanged, or raise ``InvalidScenario`` listing every failure.
+
+    A valid scenario costs one boolean pass over the rules; the checks
+    and their messages are built only when it fails.
+    """
+    if not _valid(s):
+        raise InvalidScenario(violations(s))
     return s
 
 

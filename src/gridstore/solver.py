@@ -22,7 +22,7 @@ import math
 from typing import Callable
 
 from . import cgt, pt
-from .model import Scenario, StrategyProfile, realized_utility
+from .model import Scenario, StrategyProfile, realized_utility, validate_scenario
 
 TOL = 1e-12
 MAX_ROUNDS = 200
@@ -290,13 +290,16 @@ def iterate_best_response(
     at most ``MAX_ROUNDS``, after which a moving result is not converged.
     A converged solve of two rational players takes the class
     ``BNE<digit>`` of the existence condition its two best-response
-    branches meet (``cgt``); any other solve is ``PT-Iterated``.
+    branches meet (``cgt``); any other solve is ``PT-Iterated``.  An
+    invalid scenario raises ``InvalidScenario`` before any response.
     """
-    framed = tuple(p is not None for p in s.prospect)
-    symmetric = all(framed) and s.prospect[0] == s.prospect[1] and s.duel(0) == s.duel(1)
+    validate_scenario(s)
+    (p0, p1), duels = s.prospect, (s.duel(0), s.duel(1))
+    framed = (p0 is not None, p1 is not None)
+    symmetric = all(framed) and (p0 is p1 or p0 == p1) and duels[0] == duels[1]
 
     def game(p: int) -> Callable | None:
-        return pt.framed_game(*s.duel(p), s.prospect[p]) if framed[p] else None
+        return pt.framed_game(*duels[p], s.prospect[p]) if framed[p] else None
 
     # One game and one record of (response, score) by opponent fraction
     # per player, or one of each for both.
@@ -327,7 +330,7 @@ def iterate_best_response(
     if run and _rounds_stop_short(play, start[1], run[1]):
         run = None
     *a, delta, rounds = run or _steffensen(play, start, same_side if symmetric else None)
-    profile = StrategyProfile.of(*a)
+    profile = StrategyProfile(a)
 
     def utility(p: int) -> float:  # a framed player's from the record when it answered there
         if not framed[p]:

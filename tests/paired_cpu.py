@@ -3,15 +3,18 @@
 Not a test module (pytest does not collect it); run it from the repository
 root as::
 
-    PYTHONPATH=src python tests/paired_cpu.py BASE [HEAD] [--pairs N]
+    PYTHONPATH=src python tests/paired_cpu.py BASE [HEAD] [--pairs N] [--seed S]
+        [--workload {sweep,coverage}]
 
 ``BASE`` is a git ref.  Its ``src/gridstore`` is extracted with
 ``git archive`` into a temporary directory and imported as the package
 ``gs_base``; the working tree's ``src/gridstore``, or that of the ref
 ``HEAD`` when one is given, is imported as ``gs_head``.  The ``sweep`` and
-``coverage`` passes of ``perfbench/workloads.py`` (seed 0, the published
-battery grids) then run on the two trees alternately, ``N`` pairs each,
-the tree that runs first swapping every pair.  For each workload it
+``coverage`` passes of ``perfbench/workloads.py`` (seed ``S``, 0 by
+default: the published battery grids), or the one ``--workload`` names,
+then run on the two trees alternately, ``N`` pairs each, the tree that
+runs first swapping every pair.  A seed not used while writing a change
+checks its claim on inputs it was not tuned to.  For each workload it
 prints the median of head/base process CPU time over the pairs, the
 quartiles of that ratio, the share of pairs head won, and whether both
 trees returned the same rows.  Then it prints the work of one pass on
@@ -107,6 +110,8 @@ def main() -> None:
     parser.add_argument("base", help="git ref of the tree to compare against")
     parser.add_argument("head", nargs="?", help="git ref of the other tree (default: working tree)")
     parser.add_argument("--pairs", type=int, default=60, help="alternating pairs per workload")
+    parser.add_argument("--seed", type=int, default=0, help="perfbench input seed (0: the battery)")
+    parser.add_argument("--workload", choices=PASSES, help="run this workload alone")
     args = parser.parse_args()
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -118,7 +123,9 @@ def main() -> None:
         trees = {"base": base, "head": head}
         counts = {}
         for workload, run_pass in PASSES.items():
-            inputs = workloads.make_inputs(workload, 0, ROOT)
+            if args.workload not in (None, workload):
+                continue
+            inputs = workloads.make_inputs(workload, args.seed, ROOT)
 
             def run(gs):
                 return run_pass(gs, inputs, time.perf_counter)[0]
@@ -136,7 +143,7 @@ def main() -> None:
             won = sum(r < 1.0 for r in ratios)
             same = "same rows" if len(outputs) == 1 else "ROWS DIFFER"
             print(
-                f"{workload:<9} head/base CPU {median:.3f} (quartiles {q1:.3f}-{q3:.3f}), "
+                f"{workload:<9} seed {args.seed} head/base CPU {median:.3f} (quartiles {q1:.3f}-{q3:.3f}), "
                 f"head won {won}/{len(ratios)} pairs, {same}"
             )
     names = list(next(iter(counts.values())))

@@ -34,7 +34,7 @@ from gridstore import (
     write_required_price_csv,
     write_sweep_csv,
 )
-from gridstore import experiments, solver
+from gridstore import experiments, model, solver
 from gridstore.errors import NoCoveragePrice, NotConverged
 
 from helpers import (
@@ -44,6 +44,7 @@ from helpers import (
     expected_pt_utility_grid,
     expected_utility_grid_cgt,
     plain_rounds,
+    random_scenario,
     stride_bisect_covering_price,
 )
 
@@ -486,6 +487,60 @@ def test_battery_framed_best_response_budget(monkeypatch):
     assert work.reads["curvature"] <= 133
     assert work.reads["utility"] <= 565
     assert max(work.roots) <= 30
+
+
+def test_battery_validates_every_solve_without_building_a_check(monkeypatch):
+    # Every solve validates its scenario on entry, and on a valid one that
+    # is the boolean pass alone: no ``Check`` and no message is built.
+    passes, checks = [], []
+    valid, check = model._valid, model.Check
+    monkeypatch.setattr(model, "_valid", lambda s: passes.append(s) or valid(s))
+    monkeypatch.setattr(model, "Check", lambda *a: checks.append(a) or check(*a))
+    _battery_sweeps()
+    _battery_coverage()
+    assert checks == []
+    assert len(passes) >= 313
+
+
+def _replaced_variant(base, rho_c=None, **framing):
+    """What ``experiments._variant`` returns, built with ``dataclasses.replace``."""
+    grid = base.grid if rho_c is None else replace(base.grid, rho_c=rho_c)
+    prospect = tuple(p if p is None or not framing else replace(p, **framing) for p in base.prospect)
+    return replace(base, grid=grid, prospect=prospect)
+
+
+def _symmetric(s) -> bool:
+    """``solver.iterate_best_response``'s test for players framed alike."""
+    return None not in s.prospect and s.prospect[0] == s.prospect[1] and s.duel(0) == s.duel(1)
+
+
+def test_variant_equals_the_scenario_built_with_replace():
+    rng = random.Random("variant")
+    for _ in range(400):
+        kind = rng.choice(["shared", "equal", "different", "mixed", "rational"])
+        base = default_scenario(rng.uniform(5.0, 16.0), rng.uniform(1.0, 4.0), kind != "rational")
+        if rng.random() < 0.5:
+            base = replace(random_scenario(rng), prospect=base.prospect)
+        p = base.prospect[0]
+        if kind == "equal":
+            base = replace(base, prospect=(p, replace(p)))
+        elif kind == "different":
+            base = replace(base, prospect=(p, replace(p, beta_minus=rng.uniform(0.5, 1.0))))
+        elif kind == "mixed":
+            base = replace(base, prospect=(None, p) if rng.random() < 0.5 else (p, None))
+        rho_c = rng.choice([None, rng.uniform(10.2, 14.0)])
+        framing = {
+            name: rng.uniform(*bounds)
+            for name, bounds in (("r", (5.0, 16.0)), ("lam", (1.0, 4.0)))
+            if rng.random() < 0.6
+        }
+        variant = experiments._variant(base, rho_c, **framing)
+        assert variant == _replaced_variant(base, rho_c, **framing)
+        # Players that share one framing still share one, and the solver's
+        # test for players framed alike reads as it did.
+        shared = base.prospect[0] is base.prospect[1] is not None
+        assert (variant.prospect[0] is variant.prospect[1] is not None) == shared
+        assert _symmetric(variant) == _symmetric(_replaced_variant(base, rho_c, **framing))
 
 
 def _scores_no_lower(u_reported: float, u_dense: float) -> bool:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridstore import model
 from gridstore.errors import InvalidScenario, MissingProspectParams, NotTwoPlayer
 from gridstore.model import (
     GridParams,
@@ -60,6 +61,60 @@ def test_prospect_parameter_bounds():
     s = benchmark_scenario(prospect=(bad, None))
     codes = [c.code for c in violations(s)]
     assert codes.count("BadProspectParams") == 3
+
+
+def _flipped(s: Scenario, path: str, value: float) -> Scenario:
+    """``s`` with the one leaf ``path`` (``grid.rho``, ``microgrids.0.q``, ...) set to ``value``."""
+    part, *index, field = path.split(".")
+    if not index:
+        return replace(s, grid=replace(s.grid, **{field: value}))
+    entries = list(getattr(s, part))
+    entries[int(index[0])] = replace(entries[int(index[0])], **{field: value})
+    return replace(s, **{part: tuple(entries)})
+
+
+_NON_FINITE = (math.nan, math.inf, -math.inf)
+# Each leaf with its boundary values (True where the scenario stays valid);
+# NaN and +-inf break every leaf.  The base is the framed benchmark.
+_LEAF_BOUNDARIES = {
+    "grid.rho": ((0.0, False), (0.01 * 11.6, False), (5e-324, True)),  # theta*rho_c = rho
+    "grid.rho_c": ((0.0, False), (10.0, False), (math.nextafter(10.0, 11.0), True)),
+    "grid.theta": ((0.0, False), (1.0, True), (-0.0, False), (1.0 + 2**-52, False)),
+    "grid.l_c": ((150.0, False), (150.0 + 2**-45, True), (0.0, False)),  # q_max = l_c
+    **{f"microgrids.{i}.q": ((150.0, True), (0.0, True), (-5e-324, False)) for i in (0, 1)},
+    **{f"microgrids.{i}.q_max": ((200.0, False), (120.0, True), (0.0, False)) for i in (0, 1)},
+    **{f"prospect.{i}.lam": ((1.0, True), (1.0 - 2**-53, False)) for i in (0, 1)},
+    **{
+        f"prospect.{i}.{beta}": ((1.0, True), (1.0 + 2**-52, False), (0.0, False))
+        for i in (0, 1)
+        for beta in ("beta_plus", "beta_minus")
+    },
+    **{f"prospect.{i}.r": ((0.0, True), (-1e308, True)) for i in (0, 1)},
+}
+
+
+@pytest.mark.parametrize(
+    ("path", "value", "valid"),
+    [
+        (path, value, valid)
+        for path, cases in _LEAF_BOUNDARIES.items()
+        for value, valid in (*cases, *((x, False) for x in _NON_FINITE))
+    ],
+)
+def test_boolean_pass_agrees_with_violations_when_one_leaf_moves(path, value, valid):
+    # The validity pass and ``violations`` read one rule table; a leaf moved
+    # alone to its boundary or off the reals flips them together, and a
+    # refusal lists exactly ``violations`` in order, with their messages.
+    s = _flipped(framed_benchmark(), path, value)
+    bad = violations(s)
+    assert model._valid(s) is (bad == []) is valid
+    if valid:
+        assert validate_scenario(s) is s
+        return
+    with pytest.raises(InvalidScenario) as exc_info:
+        validate_scenario(s)
+    assert exc_info.value.failures == bad
+    assert str(exc_info.value) == str(InvalidScenario(bad))
 
 
 def test_purchased_energy_splits_excess_equally():

@@ -18,6 +18,7 @@ import pytest
 import gridstore
 from gridstore import (
     GridParams,
+    InvalidScenario,
     MicrogridConfig,
     ProspectParams,
     Scenario,
@@ -235,6 +236,27 @@ def test_each_player_rule_is_raised_in_one_place():
     assert stray == []
     assert ("NotTwoPlayer", "model.Scenario.__post_init__") in sites
     assert ("MissingProspectParams", "model.Scenario.prospect_of") in sites
+
+
+def test_solvers_refuse_an_invalid_scenario():
+    # Player 2's capacity exceeds the critical load.  There the rational
+    # interior line dips below 0, and an unvalidated solve converged from
+    # (1, 1) to (-0.00205, 1.0) and labelled it BNE3.
+    s = Scenario(
+        GridParams(
+            rho=0.9546327621161796, rho_c=8.705661814848707,
+            theta=0.1439264563433459, l_c=88.5808004621562,
+        ),
+        (
+            MicrogridConfig(q=57.17610558978057, q_max=88.0240781735674),
+            MicrogridConfig(q=80.02023429419054, q_max=169.33971730572097),
+        ),
+    )
+    for solve in (iterate_best_response, enumerate_bne):
+        with pytest.raises(InvalidScenario) as exc_info:
+            solve(s)
+        assert [c.code for c in exc_info.value.failures] == ["CapacityExceedsCriticalLoad"]
+        assert "microgrids[1].q_max = 169.34 must be < l_c = 88.5808" in str(exc_info.value)
 
 
 def test_each_rational_branch_is_decided_in_one_place():
