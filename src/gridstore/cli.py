@@ -50,6 +50,13 @@ class _CliError(Exception):
 # --- config plumbing ---------------------------------------------------
 
 
+def _index(seg: str) -> int:
+    """A list index written as its own numeral, as in a JSON Pointer (RFC 6901)."""
+    if seg != str(abs(int(seg))):  # a sign, space, leading zero or non-ASCII digit
+        raise ValueError(f"{seg!r} is not a list index")
+    return int(seg)
+
+
 def _apply_overrides(data: dict, overrides: Sequence[str]) -> dict:
     """Patch scalars addressed by dotted paths; paths must already exist."""
     for item in overrides:
@@ -64,9 +71,9 @@ def _apply_overrides(data: dict, overrides: Sequence[str]) -> dict:
         segments = path.split(".")
         try:
             for seg in segments[:-1]:
-                node = node[int(seg)] if isinstance(node, list) else node[seg]
+                node = node[_index(seg)] if isinstance(node, list) else node[seg]
             leaf = segments[-1]
-            key = int(leaf) if isinstance(node, list) else leaf
+            key = _index(leaf) if isinstance(node, list) else leaf
             # Existence check so typos fail loudly instead of adding keys.
             node[key]
             node[key] = value

@@ -8,9 +8,9 @@ into an uncontested part (a point mass in utility space) and a contested
 integral, which takes the antiderivative of each value segment, gain and
 loss, between the untrimmed utility and the trimmed one at the largest
 opponent surplus.  ``framed_game`` computes a player's constants once and
-returns, per opponent fraction, four values at once: it, its slope and
-its curvature in the own fraction, and the cuts where those break,
-which name the turning piece.
+returns, per opponent fraction, five values at once: it, its slope and
+its curvature in the own fraction, the cuts where those break, and the
+index of the turning piece among them.
 Everything runs on plain floats.
 
 For a fixed opponent fraction ``a2``, the cuts split the own fractions
@@ -53,36 +53,28 @@ def pt_value(u: float, p: ProspectParams) -> float:
     return 0.0
 
 
-class Cuts(list):
-    """The own fractions in (0, 1), ascending, that split [0, 1] into pieces.
-
-    ``turning`` is the index, in ``[0, *cuts, 1]``, of the one piece where
-    the slope can fall and then rise, or None.
-    """
-
-    __slots__ = ("turning",)
-
-
 def framed_game(q1, q2max, rho, k, lc, pp: ProspectParams):
     """The framed game's constants, once per player: ``evaluators(a2)`` per opponent fraction.
 
     ``evaluators(a2)`` returns the expected framed utility, its slope and
     its curvature in the own fraction ``a1`` (three closures against a
-    fixed ``a2`` that compute every term free of ``a1`` once), and the
-    ``Cuts`` that split the slope into quasi-convex pieces.  They are the
-    contested boundary (the curvature jumps) and where ``u1`` meets the
-    reference (the slope jumps or is infinite); a crossing at rate 0 has
-    none.  The turning piece runs from the contested boundary (or 0) to
-    the reference crossing (or 1): contested with ``u1`` below the
-    reference, the one kind where the module docstring lets the slope
-    fall and then rise.  Past the split the trimmed utility falls
-    linearly from ``u1`` to ``u_hi``, so each value segment, gain and
-    loss, integrates to its antiderivative between the two, and in the
-    slope the terms at the split cancel.  Where ``u1`` meets a curved
-    reference the slope is +inf and the curvature infinite; the curvature
-    also jumps at the contested boundary, so read it inside a piece.  The
-    constants dividing by ``k*a2*q2max`` wait for the first contested
-    read, which alone raises at 0.
+    fixed ``a2`` that compute every term free of ``a1`` once), the cuts,
+    the own fractions in (0, 1), ascending, that split the slope into
+    quasi-convex pieces, and ``turning``.  The cuts are the contested
+    boundary (the curvature jumps) and where ``u1`` meets the reference
+    (the slope jumps or is infinite); a crossing at rate 0 has none.
+    ``turning`` is the index, in ``[0, *cuts, 1]``, of the turning piece,
+    or None: it runs from the contested boundary (or 0) to the reference
+    crossing (or 1), contested with ``u1`` below the reference, the one
+    kind where the module docstring lets the slope fall and then rise.
+    Past the split the trimmed utility falls linearly from ``u1`` to
+    ``u_hi``, so each value segment, gain and loss, integrates to its
+    antiderivative between the two, and in the slope the terms at the
+    split cancel.  Where ``u1`` meets a curved reference the slope is +inf
+    and the curvature infinite; the curvature also jumps at the contested
+    boundary, so read it inside a piece.  The constants dividing by
+    ``k*a2*q2max`` wait for the first contested read, which alone raises
+    at 0.
     """
     r, lam, bp, bm = pp.r, pp.lam, pp.beta_plus, pp.beta_minus
     rq, kq, hk, c = rho * q1, k * q1, 0.5 * k, q1 * (k - rho)
@@ -102,8 +94,8 @@ def framed_game(q1, q2max, rho, k, lc, pp: ProspectParams):
         a2q, idle, ka2 = a2 * q2max, a2 <= 0.0, k * a2
         m_g = m_l = drift = None
         x = (lc - a2q) / q1 if q1 != 0.0 else 0.0
-        cuts = Cuts(sorted(ref_cuts | {x} if 0.0 < x < 1.0 else ref_cuts))
-        cuts.turning = int(x > 0.0) if not idle and max(x, 0.0) < min(crossing, 1.0) else None
+        cuts = sorted(ref_cuts | {x} if 0.0 < x < 1.0 else ref_cuts)
+        turning = int(x > 0.0) if not idle and max(x, 0.0) < min(crossing, 1.0) else None
 
         # Each closure writes the contested geometry out (the split is
         # (lc - stored)/a2), and the slope its two values (d is u - r): a
@@ -146,7 +138,7 @@ def framed_game(q1, q2max, rho, k, lc, pp: ProspectParams):
             pull = rqc * value_slope(d) + ee * value_slope(d_hi)
             return (((lc - stored) / a2) * own - 2.0 * pull / ka2) / q2max
 
-        return utility, slope, curvature, cuts
+        return utility, slope, curvature, cuts, turning
 
     return evaluators
 

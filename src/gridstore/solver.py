@@ -170,7 +170,7 @@ def grid_best_response(player: int, opponent_alpha: float, s: Scenario) -> float
 
 def _framed_response(game: Callable, a_opp: float) -> tuple[float, float]:
     """``grid_best_response`` in ``game`` (``pt.framed_game``'s), with its score."""
-    utility, slope, curvature, cuts = game(a_opp)
+    utility, slope, curvature, cuts, turning = game(a_opp)
     candidates, lo, top, f_top = [0.0, 1.0], 0.0, None, 0.0
     for i, hi in enumerate([*cuts, 1.0]):
         inset = (hi - lo) * 2.0**-30
@@ -179,7 +179,7 @@ def _framed_response(game: Callable, a_opp: float) -> tuple[float, float]:
         if f_top > 0.0 > f_a:  # across the cut at lo
             candidates.append(_bracketed_root(slope, top, a, f_top, f_a))
         lo, top, f_top = hi, b, f_b
-        if i == cuts.turning and f_a > 0.0 and f_b > 0.0:
+        if i == turning and f_a > 0.0 and f_b > 0.0:
             c_a, c_b = curvature(a), curvature(b)
             if c_a < 0.0 < c_b:
                 b = _bracketed_root(curvature, a, b, c_a, c_b)

@@ -424,8 +424,8 @@ def framed_work(solver_module=solver, pt_module=pt) -> Iterator[FramedWork]:
 
         def counted_evaluators(a2):
             work.evaluators.append(a2)
-            *closures, cuts = evaluators(a2)
-            return (*map(counted, ("utility", "slope", "curvature"), closures), cuts)
+            utility, slope, curvature, *rest = evaluators(a2)
+            return (*map(counted, ("utility", "slope", "curvature"), (utility, slope, curvature)), *rest)
 
         return counted_evaluators
 
@@ -445,16 +445,6 @@ def framed_work(solver_module=solver, pt_module=pt) -> Iterator[FramedWork]:
     finally:
         solver_module._framed_response, pt_module.framed_game = respond, build
         solver_module._bracketed_root = root
-
-
-def count_framed_work(monkeypatch) -> FramedWork:
-    """``framed_work`` over this package, counting until the test ends."""
-    counted = ((solver, "_framed_response"), (pt, "framed_game"), (solver, "_bracketed_root"))
-    with framed_work() as work:
-        patches = [(module, name, getattr(module, name)) for module, name in counted]
-    for module, name, value in patches:
-        monkeypatch.setattr(module, name, value)
-    return work
 
 
 def covering_kind(row) -> str:

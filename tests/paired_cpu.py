@@ -109,10 +109,12 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base", help="git ref of the tree to compare against")
     parser.add_argument("head", nargs="?", help="git ref of the other tree (default: working tree)")
-    parser.add_argument("--pairs", type=int, default=60, help="alternating pairs per workload")
+    parser.add_argument("--pairs", type=int, default=60, help="alternating pairs per workload, 2 or more")
     parser.add_argument("--seed", type=int, default=0, help="perfbench input seed (0: the battery)")
     parser.add_argument("--workload", choices=PASSES, help="run this workload alone")
     args = parser.parse_args()
+    if args.pairs < 2:  # the ratio's quartiles need two
+        parser.error(f"argument --pairs: needs at least 2 pairs, not {args.pairs}")
 
     with tempfile.TemporaryDirectory() as tmp:
         base = load(extract(args.base, Path(tmp) / "base"), "gs_base")

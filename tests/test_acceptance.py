@@ -23,7 +23,6 @@ import numpy as np
 import gridstore
 from gridstore import (
     ProspectParams,
-    SweepSpec,
     asymmetric_equilibrium,
     best_response_cgt,
     default_scenario,
@@ -33,9 +32,6 @@ from gridstore import (
     iterate_best_response,
     max_deviation_by_price,
     quadrature_expected_utility,
-    required_emergency_price,
-    sweep_emergency_price,
-    sweep_reference_point,
     verify_bne,
 )
 
@@ -52,8 +48,6 @@ from helpers import (
 
 MODULE_T0 = time.perf_counter()
 CONFIG = str(Path(__file__).resolve().parent.parent / "configs" / "defaults.json")
-
-REFERENCE_GRID = tuple(5.0 + 0.25 * i for i in range(45))  # 5..16
 
 
 def _report(n: int, ok: bool, detail: str) -> str:
@@ -226,13 +220,8 @@ def test_criterion_06_asymmetric_reference_anchors():
     assert ok, detail
 
 
-def test_criterion_07_total_storage_curve_shape():
-    spec = SweepSpec(
-        base=default_scenario(),
-        swept_parameter="reference_point",
-        values=REFERENCE_GRID,
-    )
-    rows = sweep_reference_point(spec)
+def test_criterion_07_total_storage_curve_shape(battery):
+    rows = battery.rows["reference-sweep"]
     baseline = rows[0].total_stored_kwh
     totals = [r.total_stored_kwh for r in rows[1:]]
     i_min = int(np.argmin(totals))
@@ -250,20 +239,14 @@ def test_criterion_07_total_storage_curve_shape():
         7,
         ok,
         f"baseline {baseline:.2f} kWh; start {totals[0]:.2f}, min {totals[i_min]:.2f} "
-        f"at R={REFERENCE_GRID[i_min]:g} after a {run}-point strict decrease, "
+        f"at R={rows[1 + i_min].value:g} after a {run}-point strict decrease, "
         f"post-dip max {max(totals[i_min:]):.2f}, end {totals[-1]:.2f}",
     )
     assert ok, detail
 
 
-def test_criterion_08_price_sensitivity_ordering():
-    spec = SweepSpec(
-        base=default_scenario(lam=4.0),
-        swept_parameter="emergency_price",
-        values=(10.2, 11.0, 12.0),
-        reference_values=REFERENCE_GRID,
-    )
-    devs = max_deviation_by_price(sweep_emergency_price(spec))
+def test_criterion_08_price_sensitivity_ordering(battery):
+    devs = max_deviation_by_price(battery.rows["price-sensitivity"])
     ordered = devs[10.2] <= devs[11.0] <= devs[12.0]
     detail = _report(
         8,
@@ -275,10 +258,9 @@ def test_criterion_08_price_sensitivity_ordering():
     assert ordered, detail
 
 
-def test_criterion_09_covering_price_monotone_and_dominant():
-    lams = tuple(1.0 + 0.5 * i for i in range(7))
-    lo = required_emergency_price(default_scenario(), lams)
-    hi = required_emergency_price(default_scenario(reference=12.5), lams)
+def test_criterion_09_covering_price_monotone_and_dominant(battery):
+    rows = battery.rows["coverage-price"]
+    lo, hi = ([r for r in rows if r.reference == reference] for reference in (11.5, 12.5))
     stars_lo = [r.rho_c_star for r in lo]
     stars_hi = [r.rho_c_star for r in hi]
     nondecreasing = all(

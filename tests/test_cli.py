@@ -179,6 +179,14 @@ def test_unknown_override_path_rejected(tmp_path):
     assert run(["validate", "--config", CONFIG, "--override", "grid.rho_c"]) == 2
 
 
+@pytest.mark.parametrize("index", ["-1", "+1", " 1", "1 ", "01", "-0", "\u0661"])
+@pytest.mark.parametrize("path", ["microgrids.{}.q=999", "microgrids.{}=null"])
+def test_override_list_index_is_the_entry_numeral(path, index, capsys):
+    # As in a JSON Pointer (RFC 6901); int() read each of these as an index ("\u0661" is ١).
+    assert run(["validate", "--config", CONFIG, "--override", path.format(index)]) == 2
+    assert "not found in config" in capsys.readouterr().err
+
+
 def test_override_matches_edited_config(tmp_path, capsys):
     assert run(["solve-cgt", "--config", CONFIG, "--override", "grid.rho_c=12"]) == 0
     via_override = capsys.readouterr().out

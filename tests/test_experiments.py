@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import importlib.util
 import io
 import json
 import math
 import random
 import sys
 from dataclasses import replace
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -34,11 +34,11 @@ from gridstore import (
     write_required_price_csv,
     write_sweep_csv,
 )
-from gridstore import experiments, model, solver
+from gridstore import experiments, solver
 from gridstore.errors import NoCoveragePrice, NotConverged
 
 from helpers import (
-    count_framed_work,
+    FramedWork,
     covering_kind,
     dense_framed_argmax,
     expected_pt_utility_grid,
@@ -385,14 +385,10 @@ def test_covering_price_finds_a_window_between_branches():
     _assert_local_crossing(reference, lam, 11.01)
 
 
-def test_covering_price_battery_solve_budget(monkeypatch):
+def test_covering_price_battery_solve_budget(battery):
     # The published battery's 14 searches: 92 solves (159 when the
     # search bisected on coverage alone after solving the top cent).
-    prices = _count_solves(monkeypatch)
-    lams = experiments.inclusive_grid(1.0, 4.0, 0.5)
-    for reference in (11.5, 12.5):
-        required_emergency_price(default_scenario(reference=reference), lams)
-    assert len(prices) <= 92
+    assert len(battery.solves["coverage-price"]) <= 92
 
 
 def _assert_matches_stride_bisect(base, price_hi: float = 30.0) -> None:
@@ -434,53 +430,29 @@ def test_covering_price_matches_the_stride_bisect_search_at_far_prices():
     _assert_matches_stride_bisect(huge_floor, price_hi=4e16)
 
 
-def _battery_sweeps():
-    """The three sweep families on the published grids."""
-    references = experiments.inclusive_grid(5.0, 16.0, 0.25)
-    sweep_reference_point(
-        SweepSpec(default_scenario(), "reference_point", values=references)
-    )
-    sweep_emergency_price(
-        SweepSpec(
-            default_scenario(lam=4.0), "emergency_price", values=(10.2, 11.0, 12.0),
-            reference_values=references,
-        )
-    )
-    asymmetric_equilibrium(default_scenario(), experiments.inclusive_grid(5.0, 25.0, 0.5))
-
-
-def _battery_coverage():
-    """The covering-price family on the published grid."""
-    lams = experiments.inclusive_grid(1.0, 4.0, 0.5)
-    for reference in (11.5, 12.5):
-        required_emergency_price(default_scenario(reference=reference), lams)
-
-
-def test_battery_framed_best_response_budget(monkeypatch):
-    # The published grids.  A solve reuses its repeated responses, and a
+def test_battery_framed_best_response_budget(battery):
+    # The script's battery.  A solve reuses its repeated responses, and a
     # symmetric one iterates one best-response map with Steffensen steps,
-    # secant steps after two: 1,095 framed responses in the three sweep
+    # secant steps after two: 1,094 framed responses in the three sweep
     # families (1,179 with Aitken steps only, 1,639 when every solve
     # alternated rounds, 2,063 when it waited for three fresh rounds).  The
     # covering-price family makes 214 (244 with rounds; 434 when it
     # bisected on coverage).  A framed player's reported utility comes from
-    # the record where it answered the final profile: 100 sweep and 4
+    # the record where it answered the final profile: 97 sweep and 4
     # covering-price evaluator sets score the rest (401 and 184 before).
     # The responses read the curvature on the turning piece alone (5,972
     # sweep and 1,160 covering-price reads when every piece was searched),
     # and no root search crawls (13,123 and 2,413 slope reads, and up to 55
     # and 58 reads a search, with plain Illinois steps).
-    work = count_framed_work(monkeypatch)
-    _battery_sweeps()
+    sweeps = [battery.work[family] for family in ("reference-sweep", "price-sensitivity", "asymmetric")]
+    work = FramedWork(*(sum(parts[1:], parts[0]) for parts in zip(*sweeps)))  # added up
     assert len(work.responses) <= 1095
     assert len(work.evaluators) - len(work.responses) <= 100
     assert work.reads["slope"] <= 11_787
     assert work.reads["curvature"] <= 1_411
     assert work.reads["utility"] <= 3_272
     assert max(work.roots) <= 30
-    for counts in work:
-        counts.clear()
-    _battery_coverage()
+    work = battery.work["coverage-price"]
     assert len(work.responses) <= 214
     assert len(work.evaluators) - len(work.responses) <= 4
     assert work.reads["slope"] <= 2_354
@@ -489,15 +461,11 @@ def test_battery_framed_best_response_budget(monkeypatch):
     assert max(work.roots) <= 30
 
 
-def test_battery_validates_every_solve_without_building_a_check(monkeypatch):
+def test_battery_validates_every_solve_without_building_a_check(battery):
     # Every solve validates its scenario on entry, and on a valid one that
     # is the boolean pass alone: no ``Check`` and no message is built.
-    passes, checks = [], []
-    valid, check = model._valid, model.Check
-    monkeypatch.setattr(model, "_valid", lambda s: passes.append(s) or valid(s))
-    monkeypatch.setattr(model, "Check", lambda *a: checks.append(a) or check(*a))
-    _battery_sweeps()
-    _battery_coverage()
+    passes = list(chain.from_iterable(battery.validated.values()))
+    checks = list(chain.from_iterable(battery.checks.values()))
     assert checks == []
     assert len(passes) >= 313
 
@@ -547,22 +515,14 @@ def _scores_no_lower(u_reported: float, u_dense: float) -> bool:
     return u_reported >= u_dense - 1e-12 * max(1.0, abs(u_dense))
 
 
-def test_every_battery_solve_passes_checks_that_share_no_solver_code(monkeypatch):
+def test_every_battery_solve_passes_checks_that_share_no_solver_code(battery):
     # Each of the battery's 313 solves, against references that share no
     # code with the solver: each framed player's fraction scores no lower
     # than a dense argmax of the mask-based NumPy utility, each rational
     # player's no lower than a dense scan of the NumPy closed form, and
     # each reported framed utility is the closed form there.  The profile
     # is the one plain alternating rounds from (1, 1) settle on.
-    solves = []
-
-    def solve(s):
-        solves.append((s, solver.iterate_best_response(s)))
-        return solves[-1][1]
-
-    monkeypatch.setattr(experiments, "iterate_best_response", solve)
-    _battery_sweeps()
-    _battery_coverage()
+    solves = list(chain.from_iterable(battery.solves.values()))
     assert len(solves) == 313
     grid = np.linspace(0.0, 1.0, 2_001)
     for s, res in solves:
@@ -690,7 +650,6 @@ def test_covering_price_csv_carries_star_column(tmp_path):
     assert lines[1].startswith("required_emergency_price:R=11.5,1,11.28,")
 
 
-
 def _values_sha256(text: str) -> str:
     """SHA-256 of a CSV with its ``iterations`` column removed."""
     table = list(csv.reader(io.StringIO(text)))
@@ -700,24 +659,25 @@ def _values_sha256(text: str) -> str:
     return hashlib.sha256(out.getvalue().encode()).hexdigest()
 
 
-def test_published_battery_reproduces_reference_hashes(tmp_path, monkeypatch, capsys):
+def test_published_battery_reproduces_reference_hashes(battery):
     """``run_experiments.py --experiment all`` writes the CSVs pinned in
     ``tests/data/battery_sha256.json``: whole files by ``sha256``, and every
     column but ``iterations`` by ``values_sha256``, so a change that moves
     only round counts fails the first and passes the second."""
     expected = json.loads((ROOT / "tests" / "data" / "battery_sha256.json").read_text())
-    spec = importlib.util.spec_from_file_location(
-        "run_experiments", ROOT / "scripts" / "run_experiments.py"
-    )
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    monkeypatch.setattr(
-        sys, "argv", ["run_experiments.py", "--experiment", "all", "--out-dir", str(tmp_path)]
-    )
-    script.main()
-    capsys.readouterr()
-    paths = sorted(tmp_path.glob("*.csv"))
-    values = {path.name: _values_sha256(path.read_text()) for path in paths}
+    values = {name: _values_sha256(data.decode()) for name, data in battery.csv.items()}
     assert values == expected["values_sha256"]
-    written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in paths}
+    written = {name: hashlib.sha256(data).hexdigest() for name, data in battery.csv.items()}
     assert written == expected["sha256"]
+
+
+def test_paired_cpu_refuses_fewer_than_two_pairs(monkeypatch):
+    # The ratio's quartiles need two pairs; one used to crash only after
+    # every pass had run.  The refusal comes before any tree is extracted.
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the tool adds perfbench/
+    import paired_cpu
+    monkeypatch.setattr(paired_cpu.subprocess, "run", lambda *a, **k: pytest.fail(f"ran {a}"))
+    for pairs in ("1", "0"):
+        monkeypatch.setattr(sys, "argv", ["paired_cpu.py", "HEAD", "--pairs", pairs])
+        with pytest.raises(SystemExit, match="^2$"):
+            paired_cpu.main()

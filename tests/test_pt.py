@@ -322,7 +322,7 @@ def _curvature_cases():
 def test_curvature_matches_a_central_difference_of_the_slope():
     checked = 0
     for s, a1, a2 in _curvature_cases():
-        _, _, curvature, cuts = framed_game(*s.duel(0), s.prospect[0])(a2)
+        _, _, curvature, cuts, _ = framed_game(*s.duel(0), s.prospect[0])(a2)
         h = 1e-6
         # Away from every cut, so the difference stays on one piece.
         if min((abs(a1 - b) for b in cuts), default=1.0) < 1e-3:

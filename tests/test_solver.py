@@ -23,27 +23,20 @@ from gridstore import (
     ProspectParams,
     Scenario,
     StrategyProfile,
-    asymmetric_equilibrium,
     best_response_cgt,
     default_scenario,
     enumerate_bne,
     grid_best_response,
     iterate_best_response,
     quadrature_expected_utility,
-    required_emergency_price,
-    sweep_emergency_price,
-    sweep_reference_point,
-    SweepSpec,
 )
 from gridstore import pt, solver
-from gridstore.experiments import inclusive_grid
 from gridstore.solver import TOL
 
 from helpers import (
     BENCH_PROSPECT,
     FEASIBLE_CELLS,
     benchmark_scenario,
-    count_framed_work,
     dense_framed_argmax,
     framed_benchmark,
     framed_region_draw,
@@ -414,12 +407,12 @@ def test_iteration_is_deterministic():
     assert a.iterations == b.iterations
 
 
-def test_a_solve_reuses_its_repeated_best_responses(monkeypatch):
+def test_a_solve_reuses_its_repeated_best_responses(work):
     # A covering-price row at lam = 1 that settles one-sided in 2 rounds:
     # round 2 asks both players the same questions as round 1.
     s = default_scenario(lam=1.0)
     s = replace(s, grid=replace(s.grid, rho_c=11.28))
-    calls = count_framed_work(monkeypatch).responses
+    calls = work.responses
     res = iterate_best_response(s)
     assert res.converged and res.iterations == 2
     assert max(res.profile) == 1.0
@@ -576,12 +569,12 @@ def test_selection_rows_solve_bit_for_bit_as_pinned():
     ("row", "per_player"),
     [pytest.param(CRAWL_ROW, 20, id="crawl"), pytest.param(FLIP_BAND_ROWS[2], 10, id="flip-band")],
 )
-def test_iteration_response_budget(row, per_player, monkeypatch):
+def test_iteration_response_budget(row, per_player, work):
     # Rounds crawl at the crawl row (200 rounds left it 9.6e-5 from a fixed
     # point) and in the flip band (16 rounds at R = 13.357).  Both players
     # answer by one map here and share its responses, so a budget of n
     # responses a player allows 2n in all.
-    calls = count_framed_work(monkeypatch).responses
+    calls = work.responses
     s = priced_game(*row)
     res = iterate_best_response(s)
     assert res.converged and res.residual <= TOL
@@ -747,8 +740,7 @@ def test_framed_best_responses_are_pinned_bit_for_bit():
         assert grid_best_response(0, opp, s).hex() == pinned, i
 
 
-def test_a_best_response_builds_its_evaluators_once(monkeypatch):
-    work = count_framed_work(monkeypatch)
+def test_a_best_response_builds_its_evaluators_once(work):
     for s, opp in _best_response_cases():
         grid_best_response(0, opp, s)
         assert len(work.games) == len(work.evaluators) == len(work.responses) == 1, (s, opp)
@@ -769,9 +761,8 @@ def _solve_draws(n: int, seed: str):
         yield replace(s, prospect=(s.prospect[0], other))
 
 
-def test_a_solve_builds_each_framed_game_once(monkeypatch):
+def test_a_solve_builds_each_framed_game_once(work):
     # Players framed alike share one game; any other framed player builds its own.
-    work = count_framed_work(monkeypatch)
     for s in _solve_draws(60, "framed-games"):
         framed = [p for p in (0, 1) if s.prospect[p] is not None]
         shared = len(framed) == 2 and s.prospect[0] == s.prospect[1] and s.duel(0) == s.duel(1)
@@ -817,7 +808,7 @@ def test_root_finder_takes_a_bracket_in_either_direction():
     # curvature's rising root and its negation's falling root are the same bits.
     rising_roots = 0
     for s, opp in _best_response_cases():
-        _, _, curvature, inner = pt.framed_game(*s.duel(0), s.prospect[0])(opp)
+        _, _, curvature, inner, _ = pt.framed_game(*s.duel(0), s.prospect[0])(opp)
         cuts = [0.0, *inner, 1.0]
         for lo, hi in zip(cuts, cuts[1:]):
             inset = (hi - lo) * 2.0**-30
@@ -873,19 +864,19 @@ def test_only_the_turning_piece_can_hide_a_maximum():
     # one, the curvature never reads - at the lower probe and + at the
     # upper, so the best response searches no other piece for a turn.
     rng = random.Random("turning-piece")
-    pieces = turning = turns = 0
+    pieces = turnings = turns = 0
     for _ in range(3000):
         s = random_scenario(rng, framed=True)
         game = pt.framed_game(*s.duel(0), s.prospect[0])
         for opp in (0.25, 0.5, 0.75, 1.0):
-            _, _, curvature, cuts = game(opp)
+            _, _, curvature, cuts, turning = game(opp)
             bounds = [0.0, *cuts, 1.0]
             for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
                 inset = (hi - lo) * 2.0**-30
                 turn = curvature(lo + inset) < 0.0 < curvature(hi - inset)
-                assert turn <= (i == cuts.turning), (s, opp, i)
-                pieces, turning, turns = pieces + 1, turning + (i == cuts.turning), turns + turn
-    assert turns > 0 and pieces > 10 * turning
+                assert turn <= (i == turning), (s, opp, i)
+                pieces, turnings, turns = pieces + 1, turnings + (i == turning), turns + turn
+    assert turns > 0 and pieces > 10 * turnings
 
 
 def test_best_response_refuses_a_utility_that_is_not_finite():
@@ -900,7 +891,7 @@ def test_slope_is_quasi_convex_on_every_piece():
     # The pt docstring's argument, sampled: between two breakpoints the
     # slope falls, rises, or falls and then rises.
     for s, opp in _best_response_cases():
-        _, slope, _, inner = pt.framed_game(*s.duel(0), s.prospect[0])(opp)
+        _, slope, _, inner, _ = pt.framed_game(*s.duel(0), s.prospect[0])(opp)
         cuts = [0.0, *inner, 1.0]
         for lo, hi in zip(cuts, cuts[1:]):
             xs = np.linspace(lo, hi, 203)[1:-1]
@@ -935,34 +926,22 @@ def test_mixed_game_equilibrium_does_not_depend_on_the_start():
         assert profile[1] == pytest.approx(results[0][1], abs=1e-10)
 
 
-def published_battery():
-    """(scenario, profile) of every row the published battery reports."""
-    refs = inclusive_grid(5.0, 16.0, 0.25)
-    base = default_scenario()
-    for row in sweep_reference_point(
-        SweepSpec(base=base, swept_parameter="reference_point", values=refs)
-    )[1:]:
+def published_battery(battery):
+    """(scenario, row) of each framed row published, the scenario rebuilt from the row."""
+    for row in battery.rows["reference-sweep"][1:]:
         yield default_scenario(reference=row.value), row
-    spec = SweepSpec(
-        base=default_scenario(lam=4.0),
-        swept_parameter="emergency_price",
-        values=(10.2, 11.0, 12.0),
-        reference_values=refs,
-    )
-    for row in sweep_emergency_price(spec):
+    for row in battery.rows["price-sensitivity"]:
         yield _price_row(row.rho_c, row.reference), row
-    lams = inclusive_grid(1.0, 4.0, 0.5)
-    for reference in (11.5, 12.5):
-        for row in required_emergency_price(default_scenario(reference=reference), lams):
-            s = default_scenario(reference=reference, lam=row.lam)
-            yield replace(s, grid=replace(s.grid, rho_c=row.rho_c_star)), row
-    for row in asymmetric_equilibrium(base, inclusive_grid(5.0, 25.0, 0.5)):
+    for row in battery.rows["coverage-price"]:
+        yield priced_game(row.reference, row.lam, row.rho_c_star), row
+    base = default_scenario()
+    for row in battery.rows["asymmetric"]:
         yield replace(base, prospect=(replace(base.prospect[0], r=row.value), None)), row
 
 
-def test_every_published_row_is_a_mutual_best_response():
+def test_every_published_row_is_a_mutual_best_response(battery):
     rows = 0
-    for s, row in published_battery():
+    for s, row in published_battery(battery):
         profile = StrategyProfile.of(row.alpha_1, row.alpha_2)
         assert row.converged
         assert mutual_residual(s, profile) <= 1e-10, (row.sweep_param, row.value)
